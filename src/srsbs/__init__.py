@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channel import ChannelConfig, ChannelState, PRESETS, ScenarioPreset, get_preset
+from .channel import ChannelConfig, PRESETS, get_preset
 from .detector import (
     DetectionEvent,
     Detector,
@@ -12,13 +12,11 @@ from .detector import (
     average_magnitude,
     pearson,
 )
-from .srs import GridMapping, SrsSymbol, ZcConfig, generate_zc_base, make_srs_symbol
+from .srs import ZcConfig, generate_zc_base, make_srs_symbol
 from .tag import (
     GoldCodeSet,
     LfsrSpec,
     OokSchedule,
-    OokState,
-    TagMessage,
     encode_repetition,
     generate_gold_set,
     generate_m_sequence,
@@ -28,9 +26,7 @@ from .tag import (
 __all__ = [
     "__version__",
     "ChannelConfig",
-    "ChannelState",
     "PRESETS",
-    "ScenarioPreset",
     "get_preset",
     "DetectionEvent",
     "Detector",
@@ -39,16 +35,12 @@ __all__ = [
     "FilterConfig",
     "average_magnitude",
     "pearson",
-    "GridMapping",
-    "SrsSymbol",
     "ZcConfig",
     "generate_zc_base",
     "make_srs_symbol",
     "GoldCodeSet",
     "LfsrSpec",
     "OokSchedule",
-    "OokState",
-    "TagMessage",
     "encode_repetition",
     "generate_gold_set",
     "generate_m_sequence",

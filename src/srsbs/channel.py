@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .srs import SrsSymbol
-from .tag import OokState
+from ._config import check_fields
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,9 @@ class ChannelConfig:
     spike_probability: float = 0.0
     spike_gain: float = 3.0
     drift_rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.base_gain <= 0:
             raise ValueError(f"base_gain must be positive, got {self.base_gain}")
         if self.modulation_depth < 0:
@@ -50,21 +49,9 @@ class ChannelConfig:
             raise ValueError("drift_rate must be >= 0")
 
 
-@dataclass
-class ChannelState:
-    """Mutable per-run state: the drifting gain. Single-owner, stepped once per period."""
-
-    config: ChannelConfig
-    gain: float
-
-    @classmethod
-    def create(cls, config: ChannelConfig) -> "ChannelState":
-        return cls(config=config, gain=config.base_gain)
-
-
 def propagate(
-    srs: SrsSymbol, state: OokState, channel: ChannelState, rng: np.random.Generator
-) -> SrsSymbol:
+    pilot: np.ndarray, b: float, gain: float, config: ChannelConfig, rng: np.random.Generator
+) -> np.ndarray:
     """Received pilot for one period.
 
     ``rx_n = g * (1 + depth * b) * tx_n + noise_n`` with ``b = 1`` while the
@@ -76,27 +63,17 @@ def propagate(
     configs differing only in deterministic knobs see identical noise
     realizations under the same generator state.
     """
-    cfg = channel.config
-    n = srs.values.size
-    z = rng.standard_normal((2, n))
-    noise = (z[0] + 1j * z[1]) * (cfg.noise_sigma / math.sqrt(2.0))
-    b = 1.0 if state is OokState.BACKSCATTER else 0.0
-    received = channel.gain * (1.0 + cfg.modulation_depth * b) * srs.values + noise
-    if rng.random() < cfg.spike_probability:
-        received = received * cfg.spike_gain
-    return SrsSymbol(values=received, period_index=srs.period_index)
+    z = rng.standard_normal((2, pilot.size))
+    noise = (z[0] + 1j * z[1]) * (config.noise_sigma / math.sqrt(2.0))
+    received = gain * (1.0 + config.modulation_depth * b) * pilot + noise
+    if rng.random() < config.spike_probability:
+        received = received * config.spike_gain
+    return received
 
 
-def step(channel: ChannelState, rng: np.random.Generator) -> None:
-    """Advance the gain random walk by one period: ``g *= exp(rate * w)``."""
-    w = rng.standard_normal()
-    channel.gain *= math.exp(channel.config.drift_rate * w)
-
-
-@dataclass(frozen=True)
-class ScenarioPreset:
-    name: str
-    config: ChannelConfig
+def step(gain: float, config: ChannelConfig, rng: np.random.Generator) -> float:
+    """Advance the gain random walk by one period: ``g * exp(rate * w)``."""
+    return gain * math.exp(config.drift_rate * rng.standard_normal())
 
 
 def effective_modulation_to_noise(config: ChannelConfig) -> float:
@@ -115,32 +92,24 @@ def effective_modulation_to_noise(config: ChannelConfig) -> float:
     return config.modulation_depth / disturbance
 
 
-PRESETS: dict[str, ScenarioPreset] = {
-    "noiseless": ScenarioPreset(
-        "noiseless",
-        ChannelConfig(base_gain=0.3, modulation_depth=0.05),
+PRESETS: dict[str, ChannelConfig] = {
+    "noiseless": ChannelConfig(base_gain=0.3, modulation_depth=0.05),
+    "indoor_short": ChannelConfig(
+        base_gain=0.3, modulation_depth=0.05, spike_probability=0.005
     ),
-    "indoor_short": ScenarioPreset(
-        "indoor_short",
-        ChannelConfig(base_gain=0.3, modulation_depth=0.05, spike_probability=0.005),
+    "indoor_long": ChannelConfig(
+        base_gain=0.3, modulation_depth=0.02, spike_probability=0.01
     ),
-    "indoor_long": ScenarioPreset(
-        "indoor_long",
-        ChannelConfig(base_gain=0.3, modulation_depth=0.02, spike_probability=0.01),
-    ),
-    "outdoor": ScenarioPreset(
-        "outdoor",
-        ChannelConfig(
-            base_gain=0.3,
-            modulation_depth=0.01,
-            noise_sigma=0.12,
-            spike_probability=0.02,
-        ),
+    "outdoor": ChannelConfig(
+        base_gain=0.3,
+        modulation_depth=0.01,
+        noise_sigma=0.12,
+        spike_probability=0.02,
     ),
 }
 
 
-def get_preset(name: str) -> ScenarioPreset:
+def get_preset(name: str) -> ChannelConfig:
     try:
         return PRESETS[name]
     except KeyError:

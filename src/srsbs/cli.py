@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .detector import Detector
 from .harness import ExperimentConfig
 from .tag import generate_gold_set
 
@@ -114,9 +115,8 @@ def cmd_detect(args) -> int:
             trace = harness.read_trace(fh)
     except OSError as exc:
         raise OSError(f"cannot read trace {args.trace}: {exc.strerror}") from exc
-    events = harness.detect_trace(
-        trace, config.detector, config.filter, config.codes.build()
-    )
+    detector_config = dataclasses.replace(config.detector, code_set=config.codes.build())
+    events = harness.detect_trace(trace, Detector(detector_config, config.filter))
     _write_output(args, harness.format_events(events, args.format))
     _write_manifest(
         args, "detect", config, {"trace": str(args.trace), "events": len(events)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .srs import SrsSymbol
+from ._config import check_fields
 from .tag import CODE_LENGTH, REPEATS, GoldCodeSet, encode_repetition, generate_gold_set
 
 SD_REPLACE_MEAN = "mean"
@@ -49,6 +49,7 @@ class FilterConfig:
     enable_sd: bool = True
 
     def __post_init__(self):
+        check_fields(self, allow_inf=("deviation_factor",))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.median_window < 1 or self.sd_window < 1:
@@ -70,6 +71,7 @@ class DetectorConfig:
     code_set: GoldCodeSet | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.v < 1 or self.n < 1:
@@ -100,21 +102,22 @@ class DetectorState:
     previous_output: float | None = None
 
 
-def average_magnitude(srs: SrsSymbol) -> float:
+def average_magnitude(values: np.ndarray) -> float:
     """Mean magnitude over the pilot subcarriers: the detector's scalar input."""
-    return float(np.abs(srs.values).mean())
+    return float(np.abs(values).mean())
 
 
 def hard_threshold(a: float, state: DetectorState, config: FilterConfig) -> float:
     """Amplitude validity gate.
 
-    Samples above ``alpha`` are replaced with the most recent sample that
-    passed the gate (the first sample is always accepted to seed the state).
+    Samples above ``alpha``, and NaN, are replaced with the most recent
+    sample that passed the gate (the first sample is always accepted to seed
+    the state).
     """
     if state.last_valid is None:
         state.last_valid = a
         return a
-    if a > config.alpha:
+    if not a <= config.alpha:
         return state.last_valid
     state.last_valid = a
     return a
@@ -215,7 +218,7 @@ class Detector:
             )
         templates = np.array(
             [
-                encode_repetition(code_set.code(cid), self.config.v, cid).samples
+                encode_repetition(code_set.code(cid), self.config.v)
                 for cid in code_set.labels
             ],
             dtype=np.float64,

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -24,7 +25,8 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .channel import ChannelConfig, ChannelState, get_preset, propagate, step
+from ._config import check_fields
+from .channel import ChannelConfig, get_preset, propagate, step
 from .detector import (
     DetectionEvent,
     Detector,
@@ -36,10 +38,8 @@ from .srs import SRS_PERIOD_S, ZcConfig, make_srs_symbol
 from .tag import (
     GoldCodeSet,
     LfsrSpec,
-    OokState,
     PREFERRED_TAPS_A,
     PREFERRED_TAPS_B,
-    TagMessage,
     encode_repetition,
     generate_gold_set,
     ook_state,
@@ -65,6 +65,9 @@ class CodeConfig:
     poly_b: tuple[int, ...] = PREFERRED_TAPS_B
     seed_a: tuple[int, ...] = (1, 1, 1, 1, 1)
     seed_b: tuple[int, ...] = (1, 1, 1, 1, 1)
+
+    def __post_init__(self):
+        check_fields(self)
 
     def build(self) -> GoldCodeSet:
         return generate_gold_set(
@@ -93,6 +96,7 @@ class ExperimentConfig:
     zc: ZcConfig = field(default_factory=ZcConfig)
 
     def __post_init__(self):
+        check_fields(self)
         if self.messages < 1:
             raise ValueError(f"messages must be >= 1, got {self.messages}")
         if isinstance(self.scenario, str):
@@ -102,7 +106,7 @@ class ExperimentConfig:
 
     def channel_config(self) -> ChannelConfig:
         if isinstance(self.scenario, str):
-            return get_preset(self.scenario).config
+            return get_preset(self.scenario)
         return self.scenario
 
     def scenario_name(self) -> str:
@@ -133,11 +137,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         def build(factory, section, raw):
+            if not isinstance(raw, dict):
+                raise ValueError(f"bad {section} config: expected an object, got {raw!r}")
             try:
                 return factory(**raw)
             except TypeError as exc:
                 raise ValueError(f"bad {section} config: {exc}") from None
 
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         kwargs: dict = {}
         scenario = data.pop("scenario", "noiseless")
@@ -149,11 +157,16 @@ class ExperimentConfig:
             if key in data:
                 kwargs[key] = data.pop(key)
         if "detector" in data:
-            kwargs["detector"] = build(DetectorConfig, "detector", data.pop("detector"))
+            raw = data.pop("detector")
+            if isinstance(raw, dict) and "code_set" in raw:
+                raise ValueError("bad detector config: the code family is set under 'codes'")
+            kwargs["detector"] = build(DetectorConfig, "detector", raw)
         if "filter" in data:
             kwargs["filter"] = build(FilterConfig, "filter", data.pop("filter"))
         if "codes" in data:
-            raw = {k: tuple(v) for k, v in data.pop("codes").items()}
+            raw = data.pop("codes")
+            if isinstance(raw, dict):
+                raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
             kwargs["codes"] = build(CodeConfig, "codes", raw)
         if "zc" in data:
             kwargs["zc"] = build(ZcConfig, "zc", data.pop("zc"))
@@ -281,38 +294,34 @@ def _count_metrics(
 
 
 def run_experiment(config: ExperimentConfig, keep_trace: bool = False) -> Metrics:
-    """Simulate R message transmissions and count per-window outcomes."""
+    """Simulate R message transmissions and count per-window outcomes.
+
+    The whole magnitude trace is simulated first, then detected; the
+    detector is built before the first period so a config it rejects fails
+    fast. ``keep_trace`` attaches the trace to the returned metrics.
+    """
     code_set = config.codes.build()
     if not 0 <= config.tag_code_id < code_set.n_codes:
         raise ValueError(
             f"tag_code_id must be in 0..{code_set.n_codes - 1}, got {config.tag_code_id}"
         )
-    detector_cfg = dataclasses.replace(config.detector, code_set=code_set)
-    detector = Detector(detector_cfg, config.filter)
-    message: TagMessage = encode_repetition(
-        code_set.code(config.tag_code_id), config.detector.v, config.tag_code_id
+    detector = Detector(
+        dataclasses.replace(config.detector, code_set=code_set), config.filter
     )
-    srs = make_srs_symbol(config.zc)
-    chan = ChannelState.create(config.channel_config())
+    message = encode_repetition(code_set.code(config.tag_code_id), config.detector.v)
+    pilot = make_srs_symbol(config.zc)
+    channel = config.channel_config()
+    gain = channel.base_gain
     rng = np.random.default_rng(config.seed)
 
-    n_periods = config.messages * config.detector.window_length
-    events: list[DetectionEvent] = []
-    trace = np.empty(n_periods) if keep_trace else None
-    for k in range(n_periods):
-        if config.tag_enabled:
-            state = ook_state(message, k)
-        else:
-            state = OokState.TRANSPARENT
-        received = propagate(srs, state, chan, rng)
-        step(chan, rng)
-        a = average_magnitude(received)
-        if trace is not None:
-            trace[k] = a
-        event = detector.process(a)
-        if event is not None:
-            events.append(event)
-    return _count_metrics(events, config, trace)
+    trace = np.empty(config.messages * config.detector.window_length)
+    for k in range(trace.size):
+        b = ook_state(message, k) if config.tag_enabled else 0.0
+        received = propagate(pilot, b, gain, channel, rng)
+        gain = step(gain, channel, rng)
+        trace[k] = average_magnitude(received)
+    events = detect_trace(trace, detector)
+    return _count_metrics(events, config, trace if keep_trace else None)
 
 
 def run_phases(
@@ -389,29 +398,30 @@ def write_trace(stream: TextIO, values: Iterable[float]) -> None:
 
 
 def read_trace(stream: TextIO) -> np.ndarray:
+    """Parse one magnitude per line; blank lines are skipped.
+
+    A magnitude is finite and non-negative; any other line is rejected with
+    its line number.
+    """
     values = []
     for line_no, line in enumerate(stream, 1):
         text = line.strip()
         if not text:
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
             raise ValueError(f"trace line {line_no} is not a number: {text!r}") from None
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"trace line {line_no} is not a finite non-negative magnitude: {text!r}"
+            )
+        values.append(value)
     return np.asarray(values, dtype=np.float64)
 
 
-def detect_trace(
-    trace: np.ndarray,
-    detector_config: DetectorConfig,
-    filter_config: FilterConfig,
-    code_set: GoldCodeSet | None = None,
-) -> list[DetectionEvent]:
-    """Run the full detector pipeline over a recorded amplitude trace."""
-    cfg = detector_config
-    if code_set is not None:
-        cfg = dataclasses.replace(cfg, code_set=code_set)
-    detector = Detector(cfg, filter_config)
+def detect_trace(trace: np.ndarray, detector: Detector) -> list[DetectionEvent]:
+    """Run the full detector pipeline over an amplitude trace, in order."""
     events = []
     for a in trace:
         event = detector.process(float(a))

@@ -1,22 +1,22 @@
-"""Uplink sounding pilot generation and comb mapping onto a frequency grid.
+"""Uplink sounding pilot generation.
 
 The pilot is a constant-amplitude Zadoff-Chu sequence built on a prime base
 length and cyclically extended to fill 144 comb subcarriers (every other
-subcarrier across 24 resource blocks). Only a single pilot symbol per 10 ms
-period is modeled; the rest of the frame never matters downstream because the
-detector works on per-period magnitudes alone.
+subcarrier across 24 resource blocks). Only the pilot values of one symbol
+per 10 ms period are modeled; where they sit on the frequency grid never
+matters downstream because the detector works on per-period magnitudes alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_fields
+
 SRS_LENGTH = 144
 SRS_PERIOD_S = 0.010
-
-_DEFAULT_SUBCARRIERS = tuple(range(156, 444, 2))
 
 
 def is_prime(n: int) -> bool:
@@ -47,6 +47,7 @@ class ZcConfig:
     target_length: int = SRS_LENGTH
 
     def __post_init__(self):
+        check_fields(self)
         if not is_prime(self.base_length):
             raise ValueError(f"base_length must be prime, got {self.base_length}")
         if not 1 <= self.root < self.base_length:
@@ -58,51 +59,9 @@ class ZcConfig:
                 "target_length must be at least base_length "
                 f"({self.target_length} < {self.base_length})"
             )
-
-
-@dataclass
-class SrsSymbol:
-    """One pilot occurrence: 144 complex subcarrier values at period ``k``."""
-
-    values: np.ndarray
-    period_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (SRS_LENGTH,):
+        if self.target_length != SRS_LENGTH:
             raise ValueError(
-                f"pilot symbol must hold exactly {SRS_LENGTH} values, "
-                f"got shape {self.values.shape}"
-            )
-        if self.period_index < 0:
-            raise ValueError("period_index must be non-negative")
-
-
-@dataclass(frozen=True)
-class GridMapping:
-    """Comb placement of the pilot inside one subframe.
-
-    The pilot sits on the last OFDM symbol of the sounding subframe and
-    occupies every other subcarrier across resource blocks 13..36, i.e. 144
-    cells with one free subcarrier between neighbours.
-    """
-
-    srs_subframe: int = 8
-    srs_symbol_position: int = 13
-    occupied_subcarriers: tuple[int, ...] = field(default=_DEFAULT_SUBCARRIERS)
-    prb_range: tuple[int, int] = (13, 36)
-
-    def __post_init__(self):
-        sc = self.occupied_subcarriers
-        if len(sc) != SRS_LENGTH:
-            raise ValueError(f"expected {SRS_LENGTH} occupied subcarriers, got {len(sc)}")
-        if any(b - a != 2 for a, b in zip(sc, sc[1:])):
-            raise ValueError("occupied subcarriers must be strictly increasing with stride 2")
-        lo, hi = self.prb_range
-        prbs = sorted({i // 12 for i in sc})
-        if prbs != list(range(lo, hi + 1)):
-            raise ValueError(
-                f"occupied subcarriers must span resource blocks {lo}..{hi}, got {prbs[0]}..{prbs[-1]}"
+                f"target_length must be {SRS_LENGTH}, got {self.target_length}"
             )
 
 
@@ -133,30 +92,7 @@ def extend_to_srs(base: np.ndarray, target_length: int) -> np.ndarray:
     return base[idx]
 
 
-def make_srs_symbol(config: ZcConfig | None = None, period_index: int = 0) -> SrsSymbol:
-    """Build the transmitted pilot symbol for one period (unit amplitude)."""
+def make_srs_symbol(config: ZcConfig | None = None) -> np.ndarray:
+    """The transmitted pilot: 144 unit-amplitude complex subcarrier values."""
     config = config or ZcConfig()
-    values = extend_to_srs(generate_zc_base(config), config.target_length)
-    return SrsSymbol(values=values, period_index=period_index)
-
-
-def map_to_grid(srs: SrsSymbol, mapping: GridMapping) -> dict[int, complex]:
-    """Place the pilot values on their comb subcarriers.
-
-    Returns a sparse row: subcarrier index -> complex value. Cells between
-    pilot subcarriers stay absent (they belong to other channels or are
-    empty).
-    """
-    return {
-        sc: complex(val)
-        for sc, val in zip(mapping.occupied_subcarriers, srs.values)
-    }
-
-
-def extract_from_grid(grid: dict[int, complex], mapping: GridMapping) -> np.ndarray:
-    """Inverse of :func:`map_to_grid`: read the pilot back off the grid row."""
-    try:
-        values = [grid[sc] for sc in mapping.occupied_subcarriers]
-    except KeyError as exc:
-        raise ValueError(f"grid row is missing pilot subcarrier {exc.args[0]}") from exc
-    return np.asarray(values, dtype=np.complex128)
+    return extend_to_srs(generate_zc_base(config), config.target_length)

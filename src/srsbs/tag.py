@@ -9,7 +9,6 @@ chip for ``v`` consecutive sounding periods, one antenna state per period.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +23,6 @@ PREFERRED_TAPS_A = (5, 2, 0)
 PREFERRED_TAPS_B = (5, 4, 3, 2, 0)
 
 _ALLOWED_CROSS = frozenset({-9, -1, 7})
-
-
-class OokState(enum.Enum):
-    """Antenna state for one sounding period."""
-
-    BACKSCATTER = "backscatter"
-    TRANSPARENT = "transparent"
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,6 @@ class LfsrSpec:
 def generate_m_sequence(spec: LfsrSpec) -> np.ndarray:
     """One period of the register output mapped to +/-1 (bit 0 -> +1)."""
     return (1 - 2 * spec.bits()).astype(np.int8)
-
-
-def cyclic_cross_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unnormalized cyclic cross-correlation at every lag."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return np.array([int(a @ np.roll(b, -lag)) for lag in range(a.size)])
 
 
 @dataclass(frozen=True)
@@ -169,50 +154,21 @@ def generate_gold_set(
     return GoldCodeSet(codes=codes, labels=tuple(range(len(rows))))
 
 
-@dataclass(frozen=True)
-class TagMessage:
-    """The transmitted pattern: each code chip held for ``v`` periods."""
-
-    samples: np.ndarray
-    code_id: int
-    v: int = REPEATS
-    n: int = CODE_LENGTH
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.int8)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.v * self.n,):
-            raise ValueError(
-                f"message must hold v*n = {self.v * self.n} samples, got {samples.size}"
-            )
-        if not np.all(np.abs(samples) == 1):
-            raise ValueError("message samples must be +/-1 valued")
-
-    @property
-    def length(self) -> int:
-        return self.v * self.n
-
-
-def encode_repetition(code: np.ndarray, v: int, code_id: int = 0) -> TagMessage:
-    """Hold each code chip for ``v`` consecutive samples."""
+def encode_repetition(code: np.ndarray, v: int) -> np.ndarray:
+    """Hold each +/-1 code chip for ``v`` consecutive samples (int8)."""
     if v < 1:
         raise ValueError(f"repetition count must be >= 1, got {v}")
-    code = np.asarray(code, dtype=np.int8)
-    return TagMessage(
-        samples=np.repeat(code, v), code_id=code_id, v=v, n=code.size
-    )
+    return np.repeat(np.asarray(code, dtype=np.int8), v)
 
 
-def ook_state(message: TagMessage, period_index: int) -> OokState:
-    """Antenna state at a period: +1 chips backscatter, -1 chips stay transparent.
+def ook_state(message: np.ndarray, period_index: int) -> float:
+    """Reflection factor b at a period: 1.0 on +1 chips (backscatter), else 0.0.
 
-    The message repeats indefinitely, so the state is periodic in the message
-    length.
+    The message repeats indefinitely, so b is periodic in the message length.
     """
     if period_index < 0:
         raise ValueError("period_index must be non-negative")
-    sample = message.samples[period_index % message.length]
-    return OokState.BACKSCATTER if sample > 0 else OokState.TRANSPARENT
+    return 1.0 if message[period_index % message.size] > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -221,7 +177,6 @@ class OokSchedule:
 
     bit_duration: float = SRS_PERIOD_S
     message_duration: float = REPEATS * CODE_LENGTH * SRS_PERIOD_S
-    repeat: bool = True
 
     def __post_init__(self):
         if self.bit_duration <= 0 or self.message_duration <= 0:

@@ -116,7 +116,7 @@ def test_c04_pearson_oracle(code_set):
     # the matrix path used per period must match the same oracle
     detector = Detector(DetectorConfig(code_set=code_set))
     templates = [
-        encode_repetition(code_set.code(cid), 7, cid).samples.astype(float)
+        encode_repetition(code_set.code(cid), 7).astype(float)
         for cid in code_set.labels
     ]
     worst_matrix = 0.0
@@ -238,7 +238,7 @@ def test_c08_calibration_targets(indoor_long_phases):
 
 def test_c09_pilot_sequence_properties():
     symbol = make_srs_symbol()
-    assert np.max(np.abs(np.abs(symbol.values) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(symbol) - 1.0)) < 1e-12
     base = generate_zc_base(ZcConfig())
     n = base.size
     worst = 0.0

@@ -7,7 +7,6 @@ from scipy import stats
 
 from srsbs.channel import (
     ChannelConfig,
-    ChannelState,
     PRESETS,
     effective_modulation_to_noise,
     get_preset,
@@ -15,40 +14,40 @@ from srsbs.channel import (
     step,
 )
 from srsbs.srs import make_srs_symbol
-from srsbs.tag import OokState
+
+TRANSPARENT = 0.0
+BACKSCATTER = 1.0
 
 
-def make_channel(**kwargs):
-    return ChannelState.create(ChannelConfig(**kwargs))
+def receive(pilot, b, cfg, rng):
+    return propagate(pilot, b, cfg.base_gain, cfg, rng)
 
 
 class TestPropagate:
     def test_noiseless_transparent_identity(self):
-        chan = make_channel(base_gain=1.0, modulation_depth=0.05)
-        srs = make_srs_symbol()
-        rx = propagate(srs, OokState.TRANSPARENT, chan, np.random.default_rng(0))
-        np.testing.assert_array_equal(rx.values, srs.values)
+        cfg = ChannelConfig(base_gain=1.0, modulation_depth=0.05)
+        pilot = make_srs_symbol()
+        rx = receive(pilot, TRANSPARENT, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(rx, pilot)
 
     def test_noiseless_backscatter_depth(self):
-        chan = make_channel(base_gain=1.0, modulation_depth=0.05)
-        rx = propagate(
-            make_srs_symbol(), OokState.BACKSCATTER, chan, np.random.default_rng(0)
-        )
-        assert np.max(np.abs(np.abs(rx.values) - 1.05)) < 1e-12
+        cfg = ChannelConfig(base_gain=1.0, modulation_depth=0.05)
+        rx = receive(make_srs_symbol(), BACKSCATTER, cfg, np.random.default_rng(0))
+        assert np.max(np.abs(np.abs(rx) - 1.05)) < 1e-12
 
     def test_mean_magnitude_matches_rician(self):
         # independent closed form: per-subcarrier magnitude is Rice(nu, sigma_c)
         # with nu the clean amplitude and sigma_c the per-component noise std
         sigma = 0.05
         gain = 0.3
-        chan = make_channel(base_gain=gain, modulation_depth=0.0, noise_sigma=sigma)
+        cfg = ChannelConfig(base_gain=gain, modulation_depth=0.0, noise_sigma=sigma)
         rng = np.random.default_rng(42)
-        srs = make_srs_symbol()
+        pilot = make_srs_symbol()
         n_periods = 10_000
         total = 0.0
         for _ in range(n_periods):
-            rx = propagate(srs, OokState.TRANSPARENT, chan, rng)
-            total += np.abs(rx.values).mean()
+            rx = receive(pilot, TRANSPARENT, cfg, rng)
+            total += np.abs(rx).mean()
         measured = total / n_periods
         sigma_c = sigma / math.sqrt(2.0)
         rice = stats.rice(b=gain / sigma_c, scale=sigma_c)
@@ -56,72 +55,74 @@ class TestPropagate:
         assert abs(measured - rice.mean()) < 3 * se
 
     def test_spike_scales_whole_symbol(self):
-        srs = make_srs_symbol()
-        quiet = make_channel(base_gain=1.0, spike_probability=0.0)
-        spiky = make_channel(base_gain=1.0, spike_probability=1.0, spike_gain=3.0)
-        rx_quiet = propagate(srs, OokState.TRANSPARENT, quiet, np.random.default_rng(7))
-        rx_spiky = propagate(srs, OokState.TRANSPARENT, spiky, np.random.default_rng(7))
-        np.testing.assert_allclose(rx_spiky.values, 3.0 * rx_quiet.values, rtol=1e-12)
+        pilot = make_srs_symbol()
+        quiet = ChannelConfig(base_gain=1.0, spike_probability=0.0)
+        spiky = ChannelConfig(base_gain=1.0, spike_probability=1.0, spike_gain=3.0)
+        rx_quiet = receive(pilot, TRANSPARENT, quiet, np.random.default_rng(7))
+        rx_spiky = receive(pilot, TRANSPARENT, spiky, np.random.default_rng(7))
+        np.testing.assert_allclose(rx_spiky, 3.0 * rx_quiet, rtol=1e-12)
 
     def test_spike_affects_single_period(self):
         # same noise stream; spikes drawn per period leave other periods alone
-        cfg = ChannelConfig(base_gain=1.0, noise_sigma=0.01, spike_probability=0.5)
-        srs = make_srs_symbol()
-        base = ChannelState.create(dataclasses.replace(cfg, spike_probability=0.0))
-        spiky = ChannelState.create(cfg)
+        spiky = ChannelConfig(base_gain=1.0, noise_sigma=0.01, spike_probability=0.5)
+        base = dataclasses.replace(spiky, spike_probability=0.0)
+        pilot = make_srs_symbol()
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         ratios = []
         for _ in range(50):
-            rx_a = propagate(srs, OokState.TRANSPARENT, base, rng_a)
-            rx_b = propagate(srs, OokState.TRANSPARENT, spiky, rng_b)
-            ratio = rx_b.values / rx_a.values
+            rx_a = receive(pilot, TRANSPARENT, base, rng_a)
+            rx_b = receive(pilot, TRANSPARENT, spiky, rng_b)
+            ratio = rx_b / rx_a
             assert np.allclose(ratio, ratio[0])
             ratios.append(complex(ratio[0]))
         assert {round(r.real, 9) for r in ratios} == {1.0, 3.0}
 
     def test_determinism(self):
-        cfg = dict(base_gain=0.3, noise_sigma=0.02, spike_probability=0.1)
-        srs = make_srs_symbol()
+        cfg = ChannelConfig(base_gain=0.3, noise_sigma=0.02, spike_probability=0.1)
+        pilot = make_srs_symbol()
         out = []
         for _ in range(2):
-            chan = make_channel(**cfg)
+            gain = cfg.base_gain
             rng = np.random.default_rng(123)
             values = []
             for _ in range(20):
-                rx = propagate(srs, OokState.BACKSCATTER, chan, rng)
-                step(chan, rng)
-                values.append(rx.values.copy())
+                values.append(propagate(pilot, BACKSCATTER, gain, cfg, rng))
+                gain = step(gain, cfg, rng)
             out.append(np.stack(values))
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_null_depth_states_indistinguishable(self):
-        chan = make_channel(base_gain=0.3, modulation_depth=0.0, noise_sigma=0.02)
-        srs = make_srs_symbol()
+        cfg = ChannelConfig(base_gain=0.3, modulation_depth=0.0, noise_sigma=0.02)
+        pilot = make_srs_symbol()
         rng = np.random.default_rng(11)
         n = 10_000
         on = np.empty(n)
         off = np.empty(n)
         for i in range(n):
-            on[i] = np.abs(propagate(srs, OokState.BACKSCATTER, chan, rng).values).mean()
-            off[i] = np.abs(propagate(srs, OokState.TRANSPARENT, chan, rng).values).mean()
+            on[i] = np.abs(receive(pilot, BACKSCATTER, cfg, rng)).mean()
+            off[i] = np.abs(receive(pilot, TRANSPARENT, cfg, rng)).mean()
         result = stats.ks_2samp(on, off)
         assert result.pvalue > 0.01
 
 
 class TestStep:
     def test_zero_drift_keeps_gain(self):
-        chan = make_channel(base_gain=0.4, drift_rate=0.0)
+        cfg = ChannelConfig(base_gain=0.4, drift_rate=0.0)
         rng = np.random.default_rng(0)
+        gain = cfg.base_gain
         for _ in range(100):
-            step(chan, rng)
-        assert chan.gain == 0.4
+            gain = step(gain, cfg, rng)
+        assert gain == 0.4
 
     def test_fixed_seed_replays_trajectory(self):
         def trajectory():
-            chan = make_channel(base_gain=1.0, drift_rate=0.01)
+            cfg = ChannelConfig(base_gain=1.0, drift_rate=0.01)
             rng = np.random.default_rng(5)
-            return [step(chan, rng) or chan.gain for _ in range(217)]
+            gains = [cfg.base_gain]
+            for _ in range(217):
+                gains.append(step(gains[-1], cfg, rng))
+            return gains
 
         assert trajectory() == trajectory()
 
@@ -130,13 +131,14 @@ class TestStep:
         rate = 0.001
         walks = 4000
         steps = 217
+        cfg = ChannelConfig(base_gain=1.0, drift_rate=rate)
         rng = np.random.default_rng(99)
         finals = np.empty(walks)
         for i in range(walks):
-            chan = make_channel(base_gain=1.0, drift_rate=rate)
+            gain = cfg.base_gain
             for _ in range(steps):
-                step(chan, rng)
-            finals[i] = math.log(chan.gain)
+                gain = step(gain, cfg, rng)
+            finals[i] = math.log(gain)
         expected = steps * rate**2
         assert np.var(finals) == pytest.approx(expected, rel=0.15)
 
@@ -159,7 +161,7 @@ class TestConfigAndPresets:
 
     def test_preset_names(self):
         assert set(PRESETS) == {"noiseless", "indoor_short", "indoor_long", "outdoor"}
-        assert get_preset("noiseless").config.noise_sigma == 0.0
+        assert get_preset("noiseless").noise_sigma == 0.0
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -167,7 +169,7 @@ class TestConfigAndPresets:
 
     def test_presets_ordered_by_modulation_to_noise(self):
         ratios = [
-            effective_modulation_to_noise(PRESETS[name].config)
+            effective_modulation_to_noise(PRESETS[name])
             for name in ("noiseless", "indoor_short", "indoor_long", "outdoor")
         ]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from srsbs.cli import main
 
 TESTS_DIR = Path(__file__).parent
@@ -159,6 +161,35 @@ class TestSimulate:
         assert "ghost.json" in err
 
 
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ('{"messages": 2.5}', ["simulate"]),
+            ('{"messages": true}', ["simulate"]),
+            ("[1, 2]", ["simulate"]),
+            ('{"tag_enabled": "false"}', ["simulate"]),
+            ('{"tag_enabled": 1}', ["simulate"]),
+            ('{"filter": {"median_window": 2.5}}', ["simulate"]),
+            ('{"filter": {"alpha": true}}', ["simulate"]),
+            ('{"scenario": {"modulation_depth": NaN}}', ["simulate"]),
+            ('{"scenario": {"base_gain": Infinity}}', ["simulate"]),
+            ('{"scenario": {"seed": 3}}', ["simulate"]),
+            ('{"detector": {"code_set": 1}}', ["simulate"]),
+            ('{"codes": {"poly_a": 5}}', ["simulate"]),
+            ('{"codes": [1]}', ["simulate"]),
+            ('{"zc": {"target_length": 150}}', ["simulate"]),
+            ('{"messages": 2}', ["sweep", "--param", "seed", "--values", "1"]),
+        ],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, doc, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSeedPrecedence:
     def test_env_overrides_file(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, seed=5)
@@ -196,6 +227,24 @@ class TestDetect:
         )
         assert code == 1
         assert "ghost.txt" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.3"])
+    def test_bad_trace_value_is_config_error(self, tmp_path, capsys, bad):
+        # one bad sample at line 601 of a six-message noiseless trace
+        trace = tmp_path / "trace.txt"
+        code, _, _ = run_cli(
+            ["simulate", "--scenario", "noiseless", "--messages", "6", "--code", "7",
+             "--export-trace", str(trace)],
+            capsys,
+        )
+        assert code == 0
+        lines = trace.read_text().splitlines()
+        lines[600] = bad
+        trace.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["detect", "--trace", str(trace)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "line 601" in err
 
     def test_corrupt_trace_is_config_error(self, tmp_path, capsys):
         trace = tmp_path / "bad.txt"

@@ -17,7 +17,6 @@ from srsbs.detector import (
     pearson,
     sd_filter,
 )
-from srsbs.srs import SrsSymbol
 from srsbs.tag import encode_repetition
 
 
@@ -38,19 +37,18 @@ def two_pass_pearson(x, y):
 class TestAverageMagnitude:
     def test_unit_modulus_gives_one(self):
         values = np.exp(1j * np.linspace(0, 5, 144))
-        assert average_magnitude(SrsSymbol(values=values)) == pytest.approx(1.0, abs=1e-15)
+        assert average_magnitude(values) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_level_mean(self):
         mags = np.concatenate([np.full(72, 0.4), np.full(72, 0.6)])
         values = mags * np.exp(1j * np.linspace(0, 3, 144))
-        assert average_magnitude(SrsSymbol(values=values)) == pytest.approx(0.5, abs=1e-12)
+        assert average_magnitude(values) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal(144) + 1j * rng.standard_normal(144)
-        symbol = SrsSymbol(values=values)
         oracle = sum(abs(v) for v in values) / 144
-        assert average_magnitude(symbol) == pytest.approx(oracle, abs=1e-12)
+        assert average_magnitude(values) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestHardThreshold:
@@ -64,6 +62,11 @@ class TestHardThreshold:
         state = DetectorState(last_valid=0.28)
         cfg = FilterConfig(alpha=0.55)
         assert hard_threshold(0.90, state, cfg) == 0.28
+        assert state.last_valid == 0.28
+
+    def test_nan_sample_replaced(self):
+        state = DetectorState(last_valid=0.28)
+        assert hard_threshold(math.nan, state, FilterConfig(alpha=0.55)) == 0.28
         assert state.last_valid == 0.28
 
     def test_first_sample_always_accepted(self):
@@ -199,12 +202,12 @@ def detector(gold_set):
 
 class TestDetectStep:
     def test_warmup_emits_nothing(self, gold_set, detector):
-        template = encode_repetition(gold_set.code(7), 7, 7).samples.astype(float)
+        template = encode_repetition(gold_set.code(7), 7).astype(float)
         for y in template[:216]:
             assert detector.detect_step(float(y)) is None
 
     def test_aligned_affine_image_detects_exactly(self, gold_set, detector):
-        template = encode_repetition(gold_set.code(7), 7, 7).samples.astype(float)
+        template = encode_repetition(gold_set.code(7), 7).astype(float)
         events = []
         for y in 2.0 * template + 5.0:
             ev = detector.detect_step(float(y))
@@ -233,7 +236,7 @@ class TestDetectStep:
         code = gold_set.code(0)
         pair = GoldCodeSet(codes=np.stack([code, -code]), labels=(0, 1))
         det = Detector(DetectorConfig(code_set=pair, polarity_agnostic=True))
-        template = encode_repetition(code, 7, 0).samples.astype(float)
+        template = encode_repetition(code, 7).astype(float)
         events = [ev for y in template if (ev := det.detect_step(float(y)))]
         assert len(events) == 1
         assert events[0].code_id == 0
@@ -241,7 +244,7 @@ class TestDetectStep:
     def test_polarity_agnostic_mode(self, gold_set):
         plain = Detector(DetectorConfig(code_set=gold_set))
         agnostic = Detector(DetectorConfig(code_set=gold_set, polarity_agnostic=True))
-        template = encode_repetition(gold_set.code(3), 7, 3).samples.astype(float)
+        template = encode_repetition(gold_set.code(3), 7).astype(float)
         flipped = -template
         got_plain = [ev for y in flipped if (ev := plain.detect_step(float(y)))]
         got_agnostic = [ev for y in flipped if (ev := agnostic.detect_step(float(y)))]
@@ -255,7 +258,7 @@ class TestPipeline:
     def make_stream(self, gold_set, seed=0, periods=3 * 217):
         """Two-level keyed stream with mild noise, already below alpha."""
         rng = np.random.default_rng(seed)
-        template = encode_repetition(gold_set.code(5), 7, 5).samples
+        template = encode_repetition(gold_set.code(5), 7)
         bits = np.resize(template, periods)
         return 0.3 * (1.0 + 0.05 * (bits > 0)) + rng.normal(0, 0.0005, periods)
 

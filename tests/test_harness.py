@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from srsbs.channel import ChannelConfig
-from srsbs.detector import DetectionEvent
+from srsbs.detector import DetectionEvent, Detector
 from srsbs.harness import (
     CodeConfig,
     EVENTS_HEADER,
@@ -291,7 +291,6 @@ class TestDetectTrace:
     def test_matches_in_memory_events(self):
         cfg = quick_config(messages=3)
         metrics = run_experiment(cfg, keep_trace=True)
-        events = detect_trace(
-            metrics.trace, cfg.detector, cfg.filter, cfg.codes.build()
-        )
+        detector_cfg = dataclasses.replace(cfg.detector, code_set=cfg.codes.build())
+        events = detect_trace(metrics.trace, Detector(detector_cfg, cfg.filter))
         assert events == metrics.events

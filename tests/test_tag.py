@@ -8,11 +8,9 @@ from srsbs.tag import (
     GoldCodeSet,
     LfsrSpec,
     OokSchedule,
-    OokState,
     PREFERRED_TAPS_A,
     PREFERRED_TAPS_B,
     REPEATS,
-    TagMessage,
     encode_repetition,
     generate_gold_set,
     generate_m_sequence,
@@ -123,17 +121,18 @@ class TestGoldSet:
 class TestRepetition:
     def test_tiny_example(self):
         msg = encode_repetition(np.array([1, -1]), v=3)
-        np.testing.assert_array_equal(msg.samples, [1, 1, 1, -1, -1, -1])
+        assert msg.dtype == np.int8
+        np.testing.assert_array_equal(msg, [1, 1, 1, -1, -1, -1])
 
     def test_v_one_is_identity(self, gold_set):
         code = gold_set.code(4)
-        msg = encode_repetition(code, v=1, code_id=4)
-        np.testing.assert_array_equal(msg.samples, code)
+        msg = encode_repetition(code, v=1)
+        np.testing.assert_array_equal(msg, code)
 
     def test_standard_length_and_duration(self, gold_set):
         msg = encode_repetition(gold_set.code(0), v=REPEATS)
-        assert msg.length == 217
-        schedule = OokSchedule.for_message(v=msg.v, n=msg.n)
+        assert msg.size == 217
+        schedule = OokSchedule.for_message(v=REPEATS, n=CODE_LENGTH)
         assert schedule.message_duration == 2.17
 
     def test_invalid_v_rejected(self):
@@ -142,10 +141,10 @@ class TestRepetition:
 
     def test_indexing_matches_definition(self, gold_set):
         code = gold_set.code(9)
-        msg = encode_repetition(code, v=REPEATS, code_id=9)
+        msg = encode_repetition(code, v=REPEATS)
         for n in range(1, CODE_LENGTH + 1):
             for q in range(1, REPEATS + 1):
-                assert msg.samples[q + (n - 1) * REPEATS - 1] == code[n - 1]
+                assert msg[q + (n - 1) * REPEATS - 1] == code[n - 1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -155,39 +154,30 @@ class TestRepetition:
     def test_majority_decode_round_trip(self, chips, v):
         code = np.array(chips, dtype=np.int8)
         msg = encode_repetition(code, v=v)
-        runs = msg.samples.reshape(code.size, v)
+        runs = msg.reshape(code.size, v)
         decoded = np.sign(runs.sum(axis=1))
         np.testing.assert_array_equal(decoded, code)
-
-    def test_message_validation(self):
-        with pytest.raises(ValueError):
-            TagMessage(samples=np.ones(10), code_id=0, v=7, n=31)
-        with pytest.raises(ValueError):
-            TagMessage(samples=np.zeros(217), code_id=0)
 
 
 class TestOokState:
     @pytest.fixture()
     def message(self, gold_set):
-        return encode_repetition(gold_set.code(2), v=REPEATS, code_id=2)
+        return encode_repetition(gold_set.code(2), v=REPEATS)
 
     def test_first_period_state(self, message):
-        expected = (
-            OokState.BACKSCATTER if message.samples[0] > 0 else OokState.TRANSPARENT
-        )
-        assert ook_state(message, 0) is expected
+        expected = 1.0 if message[0] > 0 else 0.0
+        assert ook_state(message, 0) == expected
 
     def test_periodicity(self, message):
-        assert ook_state(message, 217) is ook_state(message, 0)
-        assert ook_state(message, 500) is ook_state(message, 500 % 217)
+        assert ook_state(message, 217) == ook_state(message, 0)
+        assert ook_state(message, 500) == ook_state(message, 500 % 217)
 
     def test_two_full_cycles(self, message):
         states = [ook_state(message, k) for k in range(2 * 217)]
+        assert set(states) == {0.0, 1.0}
         assert states[:217] == states[217:]
-        as_samples = np.array(
-            [1 if s is OokState.BACKSCATTER else -1 for s in states[:217]]
-        )
-        np.testing.assert_array_equal(as_samples, message.samples)
+        as_samples = np.array([1 if b == 1.0 else -1 for b in states[:217]])
+        np.testing.assert_array_equal(as_samples, message)
 
     def test_negative_period_rejected(self, message):
         with pytest.raises(ValueError):
@@ -196,9 +186,9 @@ class TestOokState:
     def test_total_variation_bounded_by_code_transitions(self, gold_set):
         # chips are held for v periods, so state changes only at chip edges
         code = gold_set.code(13)
-        msg = encode_repetition(code, v=REPEATS, code_id=13)
-        states = [ook_state(msg, k) for k in range(msg.length)]
-        changes = sum(1 for a, b in zip(states, states[1:]) if a is not b)
+        msg = encode_repetition(code, v=REPEATS)
+        states = [ook_state(msg, k) for k in range(msg.size)]
+        changes = sum(1 for a, b in zip(states, states[1:]) if a != b)
         code_transitions = int(np.sum(code[:-1] != code[1:]))
         assert changes <= code_transitions
         assert changes == code_transitions
@@ -208,4 +198,3 @@ def test_schedule_defaults():
     sched = OokSchedule()
     assert sched.bit_duration == 0.01
     assert sched.message_duration == 2.17
-    assert sched.repeat
