@@ -10,7 +10,13 @@ import argparse
 import sys
 
 from srsbs.channel import ChannelConfig
-from srsbs.harness import ExperimentConfig, format_results, results_row, sweep
+from srsbs.harness import (
+    ExperimentConfig,
+    derive_seed,
+    format_results,
+    results_row,
+    sweep,
+)
 
 
 def main(argv=None):
@@ -44,7 +50,7 @@ def main(argv=None):
             f"{depth:>8.3f}{metrics.detection_probability:>12.4f}"
             f"{metrics.cross_false_alarm_probability:>12.4f}"
         )
-        rows.append(results_row(depth, metrics, base.seed))
+        rows.append(results_row(depth, metrics, derive_seed(base.seed, i)))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(format_results(rows, "csv"))

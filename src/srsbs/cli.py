@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from ._config import dump
 from .detector import Detector
 from .harness import ExperimentConfig
 from .tag import generate_gold_set
@@ -82,11 +83,7 @@ def cmd_gen_codes(args) -> int:
         chips = ",".join(str(int(c)) for c in code_set.code(cid))
         lines.append(f"{cid},{chips}")
     _write_output(args, "\n".join(lines) + "\n")
-    _write_manifest(
-        args,
-        "gen-codes",
-        {"codes": dataclasses.asdict(harness.CodeConfig())},
-    )
+    _write_manifest(args, "gen-codes", {"codes": dump(harness.CodeConfig())})
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from ._config import check_fields
+from ._config import check_fields, dump, keys, load
 from .channel import ChannelConfig, get_preset, propagate, step
 from .detector import (
     DetectionEvent,
@@ -76,6 +76,15 @@ class CodeConfig:
         )
 
 
+# Config sections of the JSON form, each the JSON object of its dataclass.
+_SECTIONS = {
+    "detector": DetectorConfig,
+    "filter": FilterConfig,
+    "codes": CodeConfig,
+    "zc": ZcConfig,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved description of one experiment.
@@ -115,63 +124,20 @@ class ExperimentConfig:
         return "custom"
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario
-            if isinstance(self.scenario, str)
-            else dataclasses.asdict(self.scenario),
-            "tag_code_id": self.tag_code_id,
-            "tag_enabled": self.tag_enabled,
-            "messages": self.messages,
-            "seed": self.seed,
-            "detector": {
-                "theta": self.detector.theta,
-                "v": self.detector.v,
-                "n": self.detector.n,
-                "polarity_agnostic": self.detector.polarity_agnostic,
-            },
-            "filter": dataclasses.asdict(self.filter),
-            "codes": dataclasses.asdict(self.codes),
-            "zc": dataclasses.asdict(self.zc),
-        }
+        scenario = self.scenario if isinstance(self.scenario, str) else dump(self.scenario)
+        sections = {name: dump(getattr(self, name)) for name in _SECTIONS}
+        return {"scenario": scenario, **dump(self), **sections}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        def build(factory, section, raw):
-            if not isinstance(raw, dict):
-                raise ValueError(f"bad {section} config: expected an object, got {raw!r}")
-            try:
-                return factory(**raw)
-            except TypeError as exc:
-                raise ValueError(f"bad {section} config: {exc}") from None
-
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        data = dict(data)
-        kwargs: dict = {}
-        scenario = data.pop("scenario", "noiseless")
-        if isinstance(scenario, dict):
-            kwargs["scenario"] = build(ChannelConfig, "scenario", scenario)
-        else:
-            kwargs["scenario"] = scenario
-        for key in ("tag_code_id", "tag_enabled", "messages", "seed"):
-            if key in data:
-                kwargs[key] = data.pop(key)
-        if "detector" in data:
-            raw = data.pop("detector")
-            if isinstance(raw, dict) and "code_set" in raw:
-                raise ValueError("bad detector config: the code family is set under 'codes'")
-            kwargs["detector"] = build(DetectorConfig, "detector", raw)
-        if "filter" in data:
-            kwargs["filter"] = build(FilterConfig, "filter", data.pop("filter"))
-        if "codes" in data:
-            raw = data.pop("codes")
-            if isinstance(raw, dict):
-                raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-            kwargs["codes"] = build(CodeConfig, "codes", raw)
-        if "zc" in data:
-            kwargs["zc"] = build(ZcConfig, "zc", data.pop("zc"))
-        if data:
-            raise ValueError(f"unknown config keys: {sorted(data)}")
+        unknown = sorted(set(data) - {"scenario", *keys(cls), *_SECTIONS})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        kwargs = {k: load(_SECTIONS[k], v, k) if k in _SECTIONS else v for k, v in data.items()}
+        if isinstance(kwargs.get("scenario"), dict):
+            kwargs["scenario"] = load(ChannelConfig, kwargs["scenario"], "scenario")
         return cls(**kwargs)
 
 
@@ -191,11 +157,8 @@ class Metrics:
     events: list[DetectionEvent]
     n_srs: int
     messages: int
-    tag_enabled: bool
-    tag_code_id: int
     detected: int
     missed: int
-    cross_windows: int
     false_alarm_windows: int
     simulated_seconds: float
     detection_ci: tuple[float, float]
@@ -278,11 +241,8 @@ def _count_metrics(
         events=events,
         n_srs=r * window_len,
         messages=r,
-        tag_enabled=config.tag_enabled,
-        tag_code_id=config.tag_code_id,
         detected=detected,
         missed=r - detected if config.tag_enabled else 0,
-        cross_windows=crossed,
         false_alarm_windows=false_alarms,
         simulated_seconds=r * window_len * SRS_PERIOD_S,
         detection_ci=clopper_pearson(detected, r),
@@ -344,46 +304,38 @@ def run_phases(
     return off, on
 
 
-def _sweep_target(parameter: str) -> str:
-    channel_fields = {f.name for f in dataclasses.fields(ChannelConfig)}
-    detector_fields = {f.name for f in dataclasses.fields(DetectorConfig)} - {
-        "code_set",
-        "polarity_agnostic",
-    }
-    if parameter in channel_fields:
-        return "channel"
-    if parameter in detector_fields:
-        return "detector"
-    raise ValueError(
-        f"unknown sweep parameter {parameter!r}; expected a scalar field of "
-        "the channel or detector config"
-    )
-
-
-def _replace_parameter(
-    config: ExperimentConfig, parameter: str, value: float
-) -> ExperimentConfig:
-    if _sweep_target(parameter) == "channel":
-        new_channel = dataclasses.replace(
-            config.channel_config(), **{parameter: value}
-        )
-        return dataclasses.replace(config, scenario=new_channel)
-    coerced: float | int = int(value) if parameter in ("v", "n") else value
-    new_detector = dataclasses.replace(config.detector, **{parameter: coerced})
-    return dataclasses.replace(config, detector=new_detector)
-
-
 def sweep(
     config: ExperimentConfig, parameter: str, values: Iterable[float]
 ) -> list[tuple[float, Metrics]]:
-    """One run per value, child seeds derived from the base seed in order."""
-    _sweep_target(parameter)
-    results: list[tuple[float, Metrics]] = []
+    """One run per value, child seeds derived from the base seed in order.
+
+    ``parameter`` names a numeric field of the channel or detector config.
+    An integral value of an int field is passed as an int; any other value
+    goes to the config as given, whose checks reject a wrong type. Every
+    point is built before the first run, so a bad value fails fast.
+    """
+    sections = {"scenario": config.channel_config(), "detector": config.detector}
+    numeric = {
+        f.name: (owner, f.type)
+        for owner, section in sections.items()
+        for f in dataclasses.fields(section)
+        if f.type in ("int", "float")
+    }
+    if parameter not in numeric:
+        raise ValueError(
+            f"unknown sweep parameter {parameter!r}; expected a numeric field of "
+            "the channel or detector config"
+        )
+    owner, kind = numeric[parameter]
+    values = list(values)
+    points = []
     for i, value in enumerate(values):
-        point = _replace_parameter(config, parameter, value)
-        point = dataclasses.replace(point, seed=derive_seed(config.seed, i))
-        results.append((value, run_experiment(point)))
-    return results
+        given = int(value) if kind == "int" and float(value).is_integer() else value
+        section = dataclasses.replace(sections[owner], **{parameter: given})
+        points.append(
+            dataclasses.replace(config, seed=derive_seed(config.seed, i), **{owner: section})
+        )
+    return [(value, run_experiment(point)) for value, point in zip(values, points)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +471,5 @@ def format_events(events: list[DetectionEvent], fmt: str) -> str:
         write_events_csv(buf, events)
         return buf.getvalue()
     if fmt == "json":
-        return (
-            json.dumps(
-                [dataclasses.asdict(ev) for ev in events],
-                indent=2,
-            )
-            + "\n"
-        )
+        return json.dumps([dump(ev) for ev in events], indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

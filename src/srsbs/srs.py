@@ -48,20 +48,21 @@ class ZcConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not is_prime(self.base_length):
-            raise ValueError(f"base_length must be prime, got {self.base_length}")
-        if not 1 <= self.root < self.base_length:
+        # The length bounds come first: they cap the trial division below.
+        if self.target_length != SRS_LENGTH:
             raise ValueError(
-                f"root must satisfy 1 <= root < base_length, got {self.root}"
+                f"target_length must be {SRS_LENGTH}, got {self.target_length}"
             )
         if self.target_length < self.base_length:
             raise ValueError(
                 "target_length must be at least base_length "
                 f"({self.target_length} < {self.base_length})"
             )
-        if self.target_length != SRS_LENGTH:
+        if not is_prime(self.base_length):
+            raise ValueError(f"base_length must be prime, got {self.base_length}")
+        if not 1 <= self.root < self.base_length:
             raise ValueError(
-                f"target_length must be {SRS_LENGTH}, got {self.target_length}"
+                f"root must satisfy 1 <= root < base_length, got {self.root}"
             )
 
 

@@ -3,14 +3,21 @@
 ``perfbench/tracing.py`` wraps srsbs functions by module attribute name and
 counts the normal draws through the generator passed last to ``propagate``
 and ``step``. A rename, a moved function or a change in the draws per period
-breaks the traced benchmark run; this test makes it fail here first.
+breaks the traced benchmark run; this test makes it fail here first. The
+benchmark's set-up child and its workloads also call srsbs outside the
+tracer, through the config API; those calls are checked here too.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from srsbs import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 PERIODS = 217  # one message
 NORMALS_PER_PERIOD = 2 * 144 + 1  # complex noise on each subcarrier, one drift draw
 PER_PERIOD_LAYERS = (
@@ -42,3 +49,30 @@ def test_traced_simulate_counts_every_layer(tmp_path, capsys, monkeypatch):
     calls = {name: acc["calls"] for name, acc in report["accumulators"].items()}
     for layer in PER_PERIOD_LAYERS:
         assert calls.get(layer) == PERIODS, layer
+
+
+def _bench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    return run
+
+
+def test_setup_child_builds_a_detector(monkeypatch):
+    run = _bench_run(monkeypatch)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", run.SETUP_CHILD, str(PERFBENCH)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    split = json.loads(proc.stdout.splitlines()[0])
+    assert set(split) == {"import_s", "codes_s", "detector_s"}
+
+
+def test_sweep_workload_runs_and_checks(tmp_path, monkeypatch):
+    run = _bench_run(monkeypatch)
+    workload = run.WORKLOADS["sweep_depth_short"](1, tmp_path, messages=1, depths=(0.05, 0.01))
+    assert cli.main(workload.argv) == 0
+    assert workload.check() == []

@@ -178,6 +178,8 @@ class TestSimulate:
             ('{"codes": {"poly_a": 5}}', ["simulate"]),
             ('{"codes": [1]}', ["simulate"]),
             ('{"zc": {"target_length": 150}}', ["simulate"]),
+            ('{"zc": {"base_length": 2305843009213693951}}', ["simulate"]),
+            ('{"filter": {"x": 1}}', ["simulate"]),
             ('{"messages": 2}', ["sweep", "--param", "seed", "--values", "1"]),
         ],
     )
@@ -317,3 +319,25 @@ class TestBaselineAndSweep:
         )
         assert code == 2
         assert "unknown sweep parameter" in err
+
+    def test_sweep_int_field_rejects_fractional_value(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "noiseless", "--param", "v", "--values", "7.5",
+             "--messages", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: v must be int, got 7.5\n"
+
+    def test_sweep_int_field_runs_integral_value_as_int(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--scenario", "noiseless", "--param", "v", "--values", "7",
+             "--messages", "2"],
+            capsys,
+        )
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert row[0] == "7.0"  # the value as given
+        assert row[1] == "1.0"
+        assert row[4] == str(2 * 7 * 31)  # n_srs = R * v * n, with v the int 7

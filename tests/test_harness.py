@@ -2,12 +2,15 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srsbs.channel import ChannelConfig
-from srsbs.detector import DetectionEvent, Detector
+from srsbs.detector import DetectionEvent, Detector, DetectorConfig, FilterConfig
 from srsbs.harness import (
     CodeConfig,
     EVENTS_HEADER,
@@ -31,6 +34,9 @@ from srsbs.harness import (
     write_results_csv,
     write_trace,
 )
+from srsbs.srs import ZcConfig
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def quick_config(**kwargs):
@@ -153,6 +159,18 @@ class TestSweep:
         table = sweep(quick_config(messages=1), "theta", [0.3])
         assert len(table) == 1
 
+    @pytest.mark.parametrize("parameter", ["polarity_agnostic", "code_set", "sd_replacement"])
+    def test_non_numeric_field_rejected(self, parameter):
+        with pytest.raises(ValueError, match="unknown sweep parameter"):
+            sweep(quick_config(), parameter, [1.0])
+
+    def test_bad_value_fails_before_the_first_run(self, monkeypatch):
+        import srsbs.harness as harness
+
+        monkeypatch.setattr(harness, "run_experiment", pytest.fail)
+        with pytest.raises(ValueError, match="v must be int, got 7.5"):
+            sweep(quick_config(), "v", [7.0, 7.5])
+
 
 class TestSeedsAndIntervals:
     def test_derive_seed_deterministic(self):
@@ -209,9 +227,29 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"scenario": "noiseless", "color": "red"})
 
+    def test_json_round_trip_of_every_section(self):
+        cfg = quick_config(
+            scenario=ChannelConfig(base_gain=0.2, modulation_depth=0.03, drift_rate=0.001),
+            tag_enabled=False,
+            detector=DetectorConfig(theta=0.35, v=6, polarity_agnostic=True),
+            filter=FilterConfig(sd_window=3, deviation_factor=math.inf, sd_replacement="previous"),
+            codes=CodeConfig(seed_a=(1, 0, 1, 0, 1)),
+            zc=ZcConfig(root=3, base_length=137),
+        )
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+
+    def test_prebuilt_code_set_is_not_a_config_key(self, gold_set):
+        cfg = quick_config(detector=DetectorConfig(code_set=gold_set))
+        assert "code_set" not in cfg.to_dict()["detector"]
+        with pytest.raises(ValueError, match=r"bad detector config: unknown keys \['code_set'\]"):
+            ExperimentConfig.from_dict({"detector": {"code_set": None}})
+
     def test_unknown_nested_keys_rejected(self):
         with pytest.raises(ValueError, match="bad detector config"):
             ExperimentConfig.from_dict({"detector": {"gamma": 1}})
+        with pytest.raises(ValueError, match=r"bad filter config: unknown keys \['x'\]"):
+            ExperimentConfig.from_dict({"filter": {"x": 1}})
         with pytest.raises(ValueError, match="bad scenario config"):
             ExperimentConfig.from_dict({"scenario": {"loudness": 11}})
 
@@ -294,3 +332,32 @@ class TestDetectTrace:
         detector_cfg = dataclasses.replace(cfg.detector, code_set=cfg.codes.build())
         events = detect_trace(metrics.trace, Detector(detector_cfg, cfg.filter))
         assert events == metrics.events
+
+
+def _tuples(events):
+    return [(ev.period_index, ev.code_id, ev.correlation) for ev in events]
+
+
+class TestChunkedDetection:
+    """Whole, chunked and per-sample detection of one trace agree exactly."""
+
+    with open(GOLDEN / "short_trace.txt") as fh:
+        trace = read_trace(fh)
+    with open(GOLDEN / "short_trace_events.csv") as fh:
+        pinned = _tuples(read_events_csv(fh))
+
+    def test_whole_and_per_sample_give_the_pinned_events(self):
+        assert len(self.pinned) == 41
+        assert _tuples(detect_trace(self.trace, Detector())) == self.pinned
+        detector = Detector()
+        per_sample = [detector.process(a) for a in self.trace]
+        assert _tuples(ev for ev in per_sample if ev is not None) == self.pinned
+
+    @given(cuts=st.lists(st.integers(min_value=0, max_value=len(trace)), max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_random_chunks_give_the_pinned_events(self, cuts):
+        detector = Detector()
+        events = []
+        for chunk in np.split(self.trace, sorted(cuts)):
+            events.extend(detect_trace(chunk, detector))
+        assert _tuples(events) == self.pinned
