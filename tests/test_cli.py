@@ -178,9 +178,9 @@ class TestSimulate:
             ('{"codes": {"poly_a": 5}}', ["simulate"]),
             ('{"codes": [1]}', ["simulate"]),
             ('{"zc": {"target_length": 150}}', ["simulate"]),
+            ('{"messages": 2}', ["sweep", "--param", "seed", "--values", "1"]),
             ('{"zc": {"base_length": 2305843009213693951}}', ["simulate"]),
             ('{"filter": {"x": 1}}', ["simulate"]),
-            ('{"messages": 2}', ["sweep", "--param", "seed", "--values", "1"]),
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc, argv):
