@@ -13,16 +13,31 @@ compares two quantities that scale together, and Pearson is affine-invariant.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._config import check_fields
 from .tag import CODE_LENGTH, REPEATS, GoldCodeSet, encode_repetition, generate_gold_set
 
 SD_REPLACE_MEAN = "mean"
 SD_REPLACE_PREVIOUS = "previous"
+
+# Periods the batch kernel (``Detector.process_block``) takes at a time; its
+# working arrays grow with this, never with the trace length.
+BLOCK = 4096
+# Correlation slack the kernel's screen keeps below theta, scaled up for
+# windows whose spread is small next to the block's; see ``_correlate_block``.
+SCREEN_MARGIN = 1e-9
+# Relative distance to the SD filter's bound within which the kernel redoes
+# the deviation test with ``sd_filter``'s scalar arithmetic.
+SD_RECHECK = 1e-12
+# ``sum`` adds floats left to right before CPython 3.12 and compensates the
+# rounding from 3.12 on; the kernel's SD stage reproduces only the former.
+_LEFT_TO_RIGHT_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 @dataclass(frozen=True)
@@ -150,10 +165,7 @@ def sd_filter(d: float, state: DetectorState, config: FilterConfig) -> float:
     buf.append(d)
     if len(buf) > config.sd_window:
         buf.popleft()
-    m = len(buf)
-    mean = sum(buf) / m
-    var = sum((x - mean) ** 2 for x in buf) / m
-    sigma = var**0.5
+    mean, sigma = _window_moments(buf)
     if abs(d - mean) > config.deviation_factor * sigma:
         if config.sd_replacement == SD_REPLACE_MEAN:
             y = mean
@@ -163,6 +175,114 @@ def sd_filter(d: float, state: DetectorState, config: FilterConfig) -> float:
         y = d
     state.previous_output = y
     return y
+
+
+def _window_moments(window) -> tuple[float, float]:
+    """Mean and population standard deviation of a window of floats."""
+    m = len(window)
+    mean = sum(window) / m
+    var = sum((x - mean) ** 2 for x in window) / m
+    return mean, var**0.5
+
+
+def _forward_fill(prior: float, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``x`` where ``keep``, elsewhere the last kept value (``prior`` before any)."""
+    source = np.where(keep, np.arange(1, x.size + 1), 0)
+    np.maximum.accumulate(source, out=source)
+    return np.concatenate(([prior], x))[source]
+
+
+def _gate_block(x: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
+    """``hard_threshold`` over a block: a forward fill of the last accepted sample."""
+    accept = x <= config.alpha
+    if state.last_valid is None:
+        accept[0] = True
+    out = _forward_fill(0.0 if state.last_valid is None else state.last_valid, x, accept)
+    state.last_valid = float(out[-1])
+    return out
+
+
+def _middle(ordered: np.ndarray) -> np.ndarray:
+    """Median of windows sorted along the last axis, as ``median_filter`` takes it."""
+    m = ordered.shape[-1]
+    if m % 2:
+        return ordered[..., m // 2]
+    return 0.5 * (ordered[..., m // 2 - 1] + ordered[..., m // 2])
+
+
+def _median_block(x: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
+    """``median_filter`` over a block: sorted sliding windows after the warm-up prefix."""
+    w = config.median_window
+    p = len(state.median_buffer)
+    history = np.concatenate((np.array(state.median_buffer, dtype=np.float64), x))
+    warm = min(max(w - 1 - p, 0), x.size)  # samples whose window is a shorter prefix
+    out = np.empty(x.size)
+    for k in range(warm):
+        out[k] = _middle(np.sort(history[: p + k + 1]))
+    if warm < x.size:
+        windows = sliding_window_view(history, w)[p + warm + 1 - w :]
+        out[warm:] = _middle(np.sort(windows, axis=1))
+    state.median_buffer = deque(history[-w:].tolist())
+    return out
+
+
+def _moments(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of each row, summed left to right as ``sum`` does.
+
+    The mean is the one ``_window_moments`` gives on CPython before 3.12;
+    the deviation may differ from it in the last bit (``**`` against
+    numpy's square and square root).
+    """
+    width = windows.shape[1]
+    total = np.zeros(len(windows))
+    for j in range(width):
+        total += windows[:, j]
+    mean = total / width
+    squares = np.zeros(len(windows))
+    for j in range(width):
+        deviation = windows[:, j] - mean
+        squares += deviation * deviation
+    return mean, np.sqrt(squares / width)
+
+
+def _sd_block(d: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
+    """``sd_filter`` over a block.
+
+    A sample whose deviation lies within ``SD_RECHECK`` of the bound is
+    tested again with ``_window_moments``, so every decision is
+    ``sd_filter``'s. Where ``sum`` compensates rounding, which ``_moments``
+    does not reproduce, the block runs sample by sample.
+    """
+    if not _LEFT_TO_RIGHT_SUM:
+        return np.array([sd_filter(value, state, config) for value in d.tolist()])
+    s = config.sd_window
+    p = len(state.sd_buffer)
+    history = np.concatenate((np.array(state.sd_buffer, dtype=np.float64), d))
+    warm = min(max(s - 1 - p, 0), d.size)  # samples whose window is a shorter prefix
+    mean = np.empty(d.size)
+    sigma = np.empty(d.size)
+    for k in range(warm):
+        mean[k : k + 1], sigma[k : k + 1] = _moments(history[None, : p + k + 1])
+    if warm < d.size:
+        mean[warm:], sigma[warm:] = _moments(sliding_window_view(history, s)[p + warm + 1 - s :])
+    deviation = np.abs(d - mean)
+    with np.errstate(invalid="ignore"):  # inf * 0 when the factor is inf
+        bound = config.deviation_factor * sigma
+    outlier = deviation > bound
+    for k in np.flatnonzero(np.abs(deviation - bound) < SD_RECHECK * bound):
+        window = history[max(0, p + k + 1 - s) : p + k + 1].tolist()
+        mean_k, sigma_k = _window_moments(window)
+        outlier[k] = abs(window[-1] - mean_k) > config.deviation_factor * sigma_k
+    if config.sd_replacement == SD_REPLACE_MEAN:
+        out = np.where(outlier, mean, d)
+    else:
+        if state.previous_output is None:
+            outlier[0] = False  # sd_filter keeps the sample when nothing came before
+        prior = 0.0 if state.previous_output is None else state.previous_output
+        out = _forward_fill(prior, d, ~outlier)
+    state.sd_buffer = deque(history[-s:].tolist())
+    state.previous_output = float(out[-1])
+    return out
 
 
 def pearson(template: np.ndarray, window: np.ndarray) -> float:
@@ -228,6 +348,8 @@ class Detector:
         if np.any(norms == 0):
             raise ValueError("constant code template cannot be correlated")
         self._templates_normed = centered / norms
+        # each template is constant over a chip: one row per chip suffices
+        self._chip_templates = np.ascontiguousarray(self._templates_normed[:, :: self.config.v].T)
         self.state = DetectorState(
             correlation_window=np.zeros(self.config.window_length)
         )
@@ -242,6 +364,87 @@ class Detector:
         if self.filter.enable_sd:
             x = sd_filter(x, self.state, self.filter)
         return self.detect_step(x)
+
+    def process_block(self, values: np.ndarray) -> list[DetectionEvent]:
+        """The events ``process`` gives for ``values``, computed on arrays.
+
+        Works through ``values`` ``BLOCK`` periods at a time with the same
+        gate, median, SD filter and correlator, reading and writing the same
+        state as ``process``, so the two may be interleaved on one detector.
+        Events match ``process`` bit for bit on finite magnitudes; NaN sorts
+        differently in the median here than in ``sorted``.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        events: list[DetectionEvent] = []
+        for start in range(0, values.size, BLOCK):
+            x = values[start : start + BLOCK]
+            if self.filter.enable_hard:
+                x = _gate_block(x, self.state, self.filter)
+            if self.filter.enable_median:
+                x = _median_block(x, self.state, self.filter)
+            if self.filter.enable_sd:
+                x = _sd_block(x, self.state, self.filter)
+            events.extend(self._correlate_block(x))
+        return events
+
+    def _correlate_block(self, y: np.ndarray) -> list[DetectionEvent]:
+        """``detect_step`` over a block: screen every window, redo candidates exactly.
+
+        The screen correlates all full windows at once from chip sums of the
+        block taken about its own mean (the templates are centred, so the
+        offset drops out). Its rounding error stays below a few 1e-12 *
+        M**2 / norm2, where M is the block's largest offset from that mean
+        and norm2 the window's screened squared norm. So a window is skipped
+        only when norm2 > 0 and its screened best is at most
+        ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. Every other window
+        goes through ``detect_step``'s own arithmetic, so events, ties and
+        correlations are its bit for bit.
+        """
+        state = self.state
+        length, v = self.config.window_length, self.config.v
+        series = np.concatenate((state.correlation_window, y))
+        first = max(0, length - 1 - state.window_fill)  # first sample with a full window
+        period = state.period_counter
+        state.correlation_window = series[-length:].copy()
+        state.window_fill += y.size
+        state.period_counter += y.size
+        if first >= y.size:
+            return []
+        # window k is series[k + 1 : k + 1 + length]; its chip c starts at k + 1 + v * c
+        offsets = series - series.mean()
+        starts = np.arange(first + 1, y.size + 1)[:, None] + v * np.arange(self.config.n)
+        chip_sums = sliding_window_view(offsets, v).sum(axis=1)[starts]
+        chip_squares = sliding_window_view(offsets * offsets, v).sum(axis=1)[starts]
+        norm2 = chip_squares.sum(axis=1) - chip_sums.sum(axis=1) ** 2 / length
+        spread = np.max(np.abs(offsets)) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            screened = (chip_sums @ self._chip_templates) / np.sqrt(norm2)[:, None]
+            if self.config.polarity_agnostic:
+                screened = np.abs(screened)
+            quiet = (norm2 > 0) & (
+                screened.max(axis=1) <= self.config.theta - SCREEN_MARGIN * (1 + spread / norm2)
+            )
+        # windows of one repeated value share an outcome: decide each value once
+        changes = np.concatenate(([0], np.cumsum(series[1:] != series[:-1])))
+        constant: dict[float, DetectionEvent | None] = {}
+        events = []
+        for k in (np.flatnonzero(~quiet) + first).tolist():
+            window = series[k + 1 : k + 1 + length]
+            if changes[k + length] != changes[k + 1]:
+                event = self._window_event(window, period + k)
+            else:
+                if window[0] not in constant:
+                    constant[window[0]] = self._window_event(window, 0)
+                event = constant[window[0]]
+                if event is not None:
+                    event = dataclasses.replace(event, period_index=period + k)
+            if event is not None:
+                events.append(event)
+        return events
+
+    def _window_event(self, window: np.ndarray, period: int) -> DetectionEvent | None:
+        correlations = self._correlations(window)
+        return None if correlations is None else self._decide(correlations, period)
 
     def detect_step(self, y: float) -> DetectionEvent | None:
         """Slide the filtered sample in; once full, rank all codes.
@@ -261,6 +464,9 @@ class Detector:
         correlations = self.correlate()
         if correlations is None:
             return None
+        return self._decide(correlations, period)
+
+    def _decide(self, correlations: np.ndarray, period: int) -> DetectionEvent | None:
         ranked = np.abs(correlations) if self.config.polarity_agnostic else correlations
         best = int(np.argmax(ranked))
         if ranked[best] > self.config.theta:
@@ -276,7 +482,9 @@ class Detector:
 
         None when the window has zero variance (flat stream).
         """
-        window = self.state.correlation_window
+        return self._correlations(self.state.correlation_window)
+
+    def _correlations(self, window: np.ndarray) -> np.ndarray | None:
         centered = window - window.mean()
         norm = np.linalg.norm(centered)
         if norm == 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from . import __version__
 from ._config import check_fields, dump, keys, load
@@ -178,8 +178,9 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
     if trials == 0:
         return (0.0, 1.0)
     alpha = 1.0 - confidence
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    k, n = successes, trials
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return (lo, hi)
 
 
@@ -374,12 +375,7 @@ def read_trace(stream: TextIO) -> np.ndarray:
 
 def detect_trace(trace: np.ndarray, detector: Detector) -> list[DetectionEvent]:
     """Run the full detector pipeline over an amplitude trace, in order."""
-    events = []
-    for a in trace:
-        event = detector.process(float(a))
-        if event is not None:
-            events.append(event)
-    return events
+    return detector.process_block(trace)
 
 
 def results_row(parameter_value, metrics: Metrics, seed: int) -> dict:

@@ -138,19 +138,20 @@ def generate_gold_set(
 
     if len({tuple(int(x) for x in row) for row in codes}) != len(rows):
         raise ValueError("generated code family contains duplicates")
-    # all cyclic rotations of every code, reused against every other code
-    rolled = np.stack(
-        [np.stack([np.roll(c, -lag) for lag in range(CODE_LENGTH)]) for c in codes]
-    ).astype(np.int64)
+    # cross[i, j, lag] = sum_n codes[i, n] * codes[j, (n + lag) % 31]
     wide = codes.astype(np.int64)
-    for i in range(len(rows)):
-        cross = np.einsum("n,jln->jl", wide[i], rolled)
-        cross[i] = -1  # mask self-correlation, audited separately
-        bad = set(np.unique(cross)) - _ALLOWED_CROSS
-        if bad:
-            raise ValueError(
-                f"polynomial pair is not preferred: cross-correlation values {sorted(bad)}"
-            )
+    lags = np.arange(CODE_LENGTH)
+    rotations = wide[:, (lags[:, None] + lags[None, :]) % CODE_LENGTH]
+    cross = np.einsum("in,jln->ijl", wide, rotations)
+    ids = np.arange(len(rows))
+    cross[ids, ids] = -1  # mask self-correlation, audited separately
+    outside = ~np.isin(cross, list(_ALLOWED_CROSS))
+    failing = np.flatnonzero(outside.any(axis=(1, 2)))
+    if failing.size:
+        bad = set(np.unique(cross[failing[0]])) - _ALLOWED_CROSS
+        raise ValueError(
+            f"polynomial pair is not preferred: cross-correlation values {sorted(bad)}"
+        )
     return GoldCodeSet(codes=codes, labels=tuple(range(len(rows))))
 
 

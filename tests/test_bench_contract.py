@@ -4,8 +4,11 @@
 counts the normal draws through the generator passed last to ``propagate``
 and ``step``. A rename, a moved function or a change in the draws per period
 breaks the traced benchmark run; this test makes it fail here first. The
-benchmark's set-up child and its workloads also call srsbs outside the
-tracer, through the config API; those calls are checked here too.
+detector layers it wraps are the one-sample streaming path
+(``Detector.process``); batch detection runs the block kernel, which calls
+none of them, so they are counted on a per-sample run. The benchmark's
+set-up child and its workloads also call srsbs outside the tracer, through
+the config API; those calls are checked here too.
 """
 
 import json
@@ -15,22 +18,30 @@ import sys
 from pathlib import Path
 
 from srsbs import cli
+from srsbs.detector import Detector
+from srsbs.harness import read_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 PERIODS = 217  # one message
 NORMALS_PER_PERIOD = 2 * 144 + 1  # complex noise on each subcarrier, one drift draw
-PER_PERIOD_LAYERS = (
+CHANNEL_LAYERS = (
     "channel.propagate",
     "channel.step",
     "tag.keying",
     "detector.magnitude",
+)
+STREAMING_LAYERS = (
     "detector.gate",
     "detector.median",
     "detector.sd",
     "detector.process",
     "detector.correlate",
 )
+
+
+def _layer_calls(tracer) -> dict:
+    return {name: acc["calls"] for name, acc in tracer.report()["accumulators"].items()}
 
 
 def test_traced_simulate_counts_every_layer(tmp_path, capsys, monkeypatch):
@@ -41,13 +52,25 @@ def test_traced_simulate_counts_every_layer(tmp_path, capsys, monkeypatch):
     with tracer.installed():
         code = cli.main(
             ["simulate", "--scenario", "outdoor", "--messages", "1", "--code", "7",
-             "--seed", "3", "--out", str(tmp_path / "results.csv")]
+             "--seed", "3", "--out", str(tmp_path / "results.csv"),
+             "--export-trace", str(tmp_path / "trace.txt")]
         )
     assert code == 0
-    report = tracer.report()
-    assert report["counts"]["channel.normals"] == NORMALS_PER_PERIOD * PERIODS
-    calls = {name: acc["calls"] for name, acc in report["accumulators"].items()}
-    for layer in PER_PERIOD_LAYERS:
+    assert tracer.report()["counts"]["channel.normals"] == NORMALS_PER_PERIOD * PERIODS
+    calls = _layer_calls(tracer)
+    for layer in CHANNEL_LAYERS:
+        assert calls.get(layer) == PERIODS, layer
+
+    with open(tmp_path / "trace.txt") as fh:
+        trace = read_trace(fh)
+    assert trace.size == PERIODS
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        detector = Detector()
+        for a in trace:
+            detector.process(a)
+    calls = _layer_calls(tracer)
+    for layer in STREAMING_LAYERS:
         assert calls.get(layer) == PERIODS, layer
 
 
@@ -74,5 +97,12 @@ def test_setup_child_builds_a_detector(monkeypatch):
 def test_sweep_workload_runs_and_checks(tmp_path, monkeypatch):
     run = _bench_run(monkeypatch)
     workload = run.WORKLOADS["sweep_depth_short"](1, tmp_path, messages=1, depths=(0.05, 0.01))
+    assert cli.main(workload.argv) == 0
+    assert workload.check() == []
+
+
+def test_detect_workload_runs_and_checks(tmp_path, monkeypatch):
+    run = _bench_run(monkeypatch)
+    workload = run.WORKLOADS["detect_outdoor_trace"](1, tmp_path, messages=3)
     assert cli.main(workload.argv) == 0
     assert workload.check() == []

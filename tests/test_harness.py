@@ -2,15 +2,27 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srsbs import detector as detector_module
 from srsbs.channel import ChannelConfig
-from srsbs.detector import DetectionEvent, Detector, DetectorConfig, FilterConfig
+from srsbs.detector import (
+    DetectionEvent,
+    Detector,
+    DetectorConfig,
+    DetectorState,
+    FilterConfig,
+    hard_threshold,
+    median_filter,
+)
 from srsbs.harness import (
     CodeConfig,
     EVENTS_HEADER,
@@ -35,6 +47,7 @@ from srsbs.harness import (
     write_trace,
 )
 from srsbs.srs import ZcConfig
+from srsbs.tag import encode_repetition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,6 +199,27 @@ class TestSeedsAndIntervals:
         assert hi == 1.0
         assert lo == pytest.approx(0.98780, abs=2e-4)
         assert clopper_pearson(0, 0) == (0.0, 1.0)
+
+    def test_clopper_pearson_matches_beta_quantiles(self):
+        from scipy import stats
+
+        alpha = 1.0 - 0.95
+        for n in [*range(1, 120), 300, 301, 600, 1000]:
+            k = np.arange(n + 1)
+            lo = np.where(k == 0, 0.0, stats.beta.ppf(alpha / 2, k, n - k + 1))
+            hi = np.where(k == n, 1.0, stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
+            assert [clopper_pearson(int(i), n) for i in k] == list(zip(lo, hi)), n
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, srsbs.harness; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDedup:
@@ -353,11 +387,141 @@ class TestChunkedDetection:
         per_sample = [detector.process(a) for a in self.trace]
         assert _tuples(ev for ev in per_sample if ev is not None) == self.pinned
 
-    @given(cuts=st.lists(st.integers(min_value=0, max_value=len(trace)), max_size=12))
+    @given(
+        cuts=st.lists(st.integers(min_value=0, max_value=len(trace)), max_size=12),
+        one_by_one=st.lists(st.booleans(), min_size=13, max_size=13),
+    )
+    @example(cuts=[0, 300, 300, 651, len(trace)], one_by_one=[False, True] * 6 + [False])
     @settings(max_examples=25, deadline=None)
-    def test_random_chunks_give_the_pinned_events(self, cuts):
+    def test_random_chunks_give_the_pinned_events(self, cuts, one_by_one):
+        """Each chunk goes through the block kernel or sample by sample, on one detector."""
         detector = Detector()
         events = []
-        for chunk in np.split(self.trace, sorted(cuts)):
-            events.extend(detect_trace(chunk, detector))
+        for chunk, per_sample in zip(np.split(self.trace, sorted(cuts)), one_by_one):
+            if per_sample:
+                events.extend(ev for a in chunk if (ev := detector.process(a)) is not None)
+            else:
+                events.extend(detect_trace(chunk, detector))
         assert _tuples(events) == self.pinned
+
+
+def _per_sample(trace, detector):
+    return [ev for a in trace if (ev := detector.process(a)) is not None]
+
+
+@pytest.fixture(scope="module")
+def kernel_traces():
+    """The golden trace, and simulated ones: noisy, flat tag-off, clean tag-on."""
+    with open(GOLDEN / "short_trace.txt") as fh:
+        traces = {"golden": read_trace(fh)}
+    for scenario, tag_enabled in (("outdoor", True), ("indoor_long", False), ("indoor_short", True)):
+        config = quick_config(scenario=scenario, tag_enabled=tag_enabled, messages=3, seed=5)
+        traces[f"{scenario}-{tag_enabled}"] = run_experiment(config, keep_trace=True).trace
+    return traces
+
+
+class TestBlockKernel:
+    """``Detector.process_block`` gives the events of per-sample ``process``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "detector_kwargs, filter_kwargs",
+        [
+            ({}, {"enable_hard": False}),
+            ({}, {"enable_median": False}),
+            ({}, {"enable_sd": False}),
+            ({}, {"sd_replacement": "previous"}),
+            ({}, {"median_window": 4}),
+            ({}, {"deviation_factor": math.inf}),
+            ({"polarity_agnostic": True}, {}),
+        ],
+    )
+    def test_matches_process(self, kernel_traces, gold_set, detector_kwargs, filter_kwargs):
+        detector_cfg = DetectorConfig(code_set=gold_set, **detector_kwargs)
+        filter_cfg = FilterConfig(**filter_kwargs)
+        for name, trace in kernel_traces.items():
+            expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+            got = Detector(detector_cfg, filter_cfg).process_block(trace)
+            assert _tuples(got) == _tuples(expected), name
+
+    def test_sample_by_sample_sd_stage(self, kernel_traces, gold_set, monkeypatch):
+        """Where ``sum`` compensates rounding the SD stage runs per sample: same events."""
+        monkeypatch.setattr(detector_module, "_LEFT_TO_RIGHT_SUM", False)
+        config = DetectorConfig(code_set=gold_set)
+        for name, trace in kernel_traces.items():
+            expected = _per_sample(trace, Detector(config))
+            assert _tuples(Detector(config).process_block(trace)) == _tuples(expected), name
+
+    def test_deviation_factor_on_an_sd_bound(self, gold_set):
+        """An SD decision that the kernel's rounding alone would flip.
+
+        The kernel's window deviation (products and ``sqrt``) differs in the
+        last bit from ``sd_filter``'s (``** 2`` and ``** 0.5``) at some
+        samples. The test looks for a sample and a deviation factor where
+        the two give different decisions; only ``sd_filter``'s own
+        arithmetic then gives ``process``'s answer. The trace ends at that
+        sample and theta is low, so the last window fires and its
+        correlation shows the filter's output there.
+        """
+        trace = np.random.default_rng(0).normal(0.3, 0.02, 4000)
+        state, config = DetectorState(), FilterConfig()
+        medians = [median_filter(hard_threshold(float(a), state, config), state, config) for a in trace]
+        found = None
+        for k in range(len(trace) // 4, len(trace)):
+            window = medians[k - config.sd_window + 1 : k + 1]
+            mean = sum(window) / len(window)
+            exact = (sum((x - mean) ** 2 for x in window) / len(window)) ** 0.5
+            product = math.sqrt(sum((x - mean) * (x - mean) for x in window) / len(window))
+            deviation = abs(medians[k] - mean)
+            if exact == product:
+                continue
+            factor = math.nextafter(deviation / exact, 0.0)
+            for _ in range(8):
+                if (deviation > factor * exact) != (deviation > factor * product):
+                    found = k, factor
+                    break
+                factor = math.nextafter(factor, 1.0)
+            if found:
+                break
+        assert found, "no decision where the two roundings differ"
+        k, factor = found
+        trace = trace[: k + 1]
+        detector_cfg = DetectorConfig(code_set=gold_set, theta=1e-3)
+        filter_cfg = FilterConfig(deviation_factor=factor)
+        expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+        assert expected[-1].period_index == k
+        got = Detector(detector_cfg, filter_cfg).process_block(trace)
+        assert _tuples(got) == _tuples(expected)
+
+    def test_pattern_one_ulp_deep(self, gold_set):
+        """A code keyed one ulp deep fires; the screen must not round it away."""
+        chips = encode_repetition(gold_set.code(7), 7) > 0
+        level = 0.3
+        trace = np.where(np.tile(chips, 2), np.nextafter(level, 1.0), level)
+        detector_cfg = DetectorConfig(code_set=gold_set)
+        filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
+        expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+        assert expected
+        got = Detector(detector_cfg, filter_cfg).process_block(trace)
+        assert _tuples(got) == _tuples(expected)
+
+    def test_windows_around_a_step(self, gold_set):
+        """Constant windows, then windows holding one new value, at a low theta."""
+        trace = np.concatenate([np.full(300, 0.3), np.full(300, 0.31), np.full(300, 0.3)])
+        detector_cfg = DetectorConfig(code_set=gold_set, theta=0.05)
+        filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
+        expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+        assert expected
+        got = Detector(detector_cfg, filter_cfg).process_block(trace)
+        assert _tuples(got) == _tuples(expected)
+
+    @pytest.mark.parametrize("event", [0, 40])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_theta_at_an_event_correlation(self, gold_set, event, below):
+        """Theta on a pinned correlation, or one ulp under it, sits on the screen's edge."""
+        trace = TestChunkedDetection.trace
+        period, _, r = TestChunkedDetection.pinned[event]
+        theta = np.nextafter(r, 0.0) if below else r
+        config = DetectorConfig(code_set=gold_set, theta=float(theta))
+        expected = _per_sample(trace, Detector(config))
+        assert (period in {ev.period_index for ev in expected}) == below
+        assert _tuples(Detector(config).process_block(trace)) == _tuples(expected)

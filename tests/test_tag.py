@@ -102,6 +102,11 @@ class TestGoldSet:
         for code in gold_set.codes:
             assert brute_cyclic_corr(code, code, 0) == 31
 
+    def test_non_preferred_pair_rejected(self):
+        # x^5 + x^3 + 1 is primitive but not preferred with x^5 + x^2 + 1
+        with pytest.raises(ValueError, match="not preferred"):
+            generate_gold_set(LfsrSpec(taps=(5, 2, 0)), LfsrSpec(taps=(5, 3, 0)))
+
     def test_identical_pair_rejected(self):
         spec = LfsrSpec(taps=PREFERRED_TAPS_A)
         with pytest.raises(ValueError):
