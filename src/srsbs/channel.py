@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -74,6 +76,63 @@ def propagate(
 def step(gain: float, config: ChannelConfig, rng: np.random.Generator) -> float:
     """Advance the gain random walk by one period: ``g * exp(rate * w)``."""
     return gain * math.exp(config.drift_rate * rng.standard_normal())
+
+
+# Periods simulated per block by ``received_magnitudes``; buffers are this long.
+BLOCK = 64
+
+
+def received_magnitudes(
+    pilot: np.ndarray, b: np.ndarray, config: ChannelConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Mean received magnitude for each period of the keying array ``b``.
+
+    The gain starts at ``config.base_gain``. The result, and the generator
+    state afterwards, equal a loop of ``propagate``, ``step`` and
+    ``average_magnitude`` over ``b`` bit for bit. Each period draws its 288
+    noise normals, its spike uniform and its drift normal in that order; one
+    drift normal and the next period's noise normals are drawn as one run of
+    289, which the ziggurat fills with the same values. The gain walks with
+    ``math.exp`` as in ``step``. Only the arithmetic on the draws runs on
+    blocks of ``BLOCK`` periods, each operation elementwise as ``propagate``
+    and ``average_magnitude`` do it for one period, into preallocated buffers.
+    """
+    n, p = b.size, pilot.size
+    out = np.empty(n)
+    # Row i: the drift normal of the period before, then period i's noise
+    # (real parts, imaginary parts). Row 0 of the first block has no drift
+    # before it; its 0.0 makes the first gain factor exp(0.0) = 1.0.
+    z = np.zeros((BLOCK, 2 * p + 1))
+    draws = list(z)
+    first = [z[0, 1:]] + draws[1:]
+    noise = np.empty((BLOCK, p), dtype=complex)
+    clean = np.empty((BLOCK, p), dtype=complex)
+    magnitude = np.empty((BLOCK, p))
+    scale = config.noise_sigma / math.sqrt(2.0)
+    gain = config.base_gain
+    normal, uniform, exp = rng.standard_normal, rng.random, math.exp
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        spike = []
+        for row in (draws if start else first)[:m]:
+            normal(out=row)
+            spike.append(uniform())
+        # Each period's gain is the one before times exp(rate * drift), as in step.
+        factors = map(exp, (config.drift_rate * z[:m, 0]).tolist())
+        gains = list(accumulate(factors, mul, initial=gain))[1:]
+        gain = gains[-1]
+        rx = noise[:m]
+        np.multiply(1j, z[:m, p + 1:], out=rx)
+        np.add(z[:m, 1:p + 1], rx, out=rx)
+        np.multiply(rx, scale, out=rx)
+        amplitude = np.multiply(gains, 1.0 + config.modulation_depth * b[start:start + m])
+        np.multiply(amplitude[:, None], pilot, out=clean[:m])
+        np.add(clean[:m], rx, out=rx)
+        rx[np.less(spike, config.spike_probability)] *= config.spike_gain
+        np.mean(np.abs(rx, out=magnitude[:m]), axis=1, out=out[start:start + m])
+    if n:
+        normal()  # the last period's drift
+    return out
 
 
 def effective_modulation_to_noise(config: ChannelConfig) -> float:

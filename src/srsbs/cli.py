@@ -152,7 +152,9 @@ def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"--values must be comma-separated numbers, got {args.values!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"--values must be comma-separated numbers, got {args.values!r}")
     results = harness.sweep(config, args.param, values)
     rows = [
         harness.results_row(value, metrics, harness.derive_seed(config.seed, i))

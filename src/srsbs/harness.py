@@ -26,7 +26,8 @@ from scipy.special import betaincinv
 
 from . import __version__
 from ._config import check_fields, dump, keys, load
-from .channel import ChannelConfig, get_preset, propagate, step
+# Unused here: perfbench/tracing.py wraps propagate, step, average_magnitude, ook_state in harness.
+from .channel import ChannelConfig, get_preset, propagate, received_magnitudes, step
 from .detector import (
     DetectionEvent,
     Detector,
@@ -271,16 +272,10 @@ def run_experiment(config: ExperimentConfig, keep_trace: bool = False) -> Metric
     )
     message = encode_repetition(code_set.code(config.tag_code_id), config.detector.v)
     pilot = make_srs_symbol(config.zc)
-    channel = config.channel_config()
-    gain = channel.base_gain
+    n = config.messages * config.detector.window_length
+    b = np.resize(message > 0, n) if config.tag_enabled else np.zeros(n)
     rng = np.random.default_rng(config.seed)
-
-    trace = np.empty(config.messages * config.detector.window_length)
-    for k in range(trace.size):
-        b = ook_state(message, k) if config.tag_enabled else 0.0
-        received = propagate(pilot, b, gain, channel, rng)
-        gain = step(gain, channel, rng)
-        trace[k] = average_magnitude(received)
+    trace = received_magnitudes(pilot, b, config.channel_config(), rng)
     events = detect_trace(trace, detector)
     return _count_metrics(events, config, trace if keep_trace else None)
 
@@ -343,11 +338,16 @@ def sweep(
 # file formats
 
 
-def write_trace(stream: TextIO, values: Iterable[float]) -> None:
+# Values formatted per write by ``write_trace``; bounds the text held at once.
+TRACE_CHUNK = 1024
+
+
+def write_trace(stream: TextIO, values: Sequence[float]) -> None:
     """One amplitude per line, full float precision (round-trips exactly)."""
-    for v in values:
-        stream.write(repr(float(v)))
-        stream.write("\n")
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, values.size, TRACE_CHUNK):
+        chunk = values[start:start + TRACE_CHUNK].tolist()
+        stream.write("".join(f"{v!r}\n" for v in chunk))
 
 
 def read_trace(stream: TextIO) -> np.ndarray:

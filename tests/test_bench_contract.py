@@ -4,11 +4,15 @@
 counts the normal draws through the generator passed last to ``propagate``
 and ``step``. A rename, a moved function or a change in the draws per period
 breaks the traced benchmark run; this test makes it fail here first. The
-detector layers it wraps are the one-sample streaming path
-(``Detector.process``); batch detection runs the block kernel, which calls
-none of them, so they are counted on a per-sample run. The benchmark's
-set-up child and its workloads also call srsbs outside the tracer, through
-the config API; those calls are checked here too.
+layers it wraps are the one-period reference API (``ook_state``,
+``propagate``, ``step``, ``average_magnitude``, looked up in
+``srsbs.harness``) and the one-sample streaming detector
+(``Detector.process``). Runs simulate the channel in blocks
+(``received_magnitudes``) and detect with the block kernel, which call none
+of them, so the layers are counted on a per-period loop over the same
+periods. The benchmark's set-up child and its workloads also call srsbs
+outside the tracer, through the config API; those calls are checked here
+too.
 """
 
 import json
@@ -17,9 +21,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from srsbs import cli
+import numpy as np
+
+from srsbs import cli, harness
+from srsbs.channel import get_preset
 from srsbs.detector import Detector
-from srsbs.harness import read_trace
+from srsbs.harness import CodeConfig, read_trace
+from srsbs.srs import make_srs_symbol
+from srsbs.tag import encode_repetition
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -56,14 +65,29 @@ def test_traced_simulate_counts_every_layer(tmp_path, capsys, monkeypatch):
              "--export-trace", str(tmp_path / "trace.txt")]
         )
     assert code == 0
+
+    with open(tmp_path / "trace.txt") as fh:
+        trace = read_trace(fh)
+    assert trace.size == PERIODS
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        channel = get_preset("outdoor")
+        message = encode_repetition(CodeConfig().build().code(7), 7)
+        pilot = make_srs_symbol()
+        rng = np.random.default_rng(3)
+        gain = channel.base_gain
+        magnitudes = []
+        for k in range(PERIODS):
+            b = harness.ook_state(message, k)
+            received = harness.propagate(pilot, b, gain, channel, rng)
+            gain = harness.step(gain, channel, rng)
+            magnitudes.append(harness.average_magnitude(received))
+    assert magnitudes == trace.tolist()
     assert tracer.report()["counts"]["channel.normals"] == NORMALS_PER_PERIOD * PERIODS
     calls = _layer_calls(tracer)
     for layer in CHANNEL_LAYERS:
         assert calls.get(layer) == PERIODS, layer
 
-    with open(tmp_path / "trace.txt") as fh:
-        trace = read_trace(fh)
-    assert trace.size == PERIODS
     tracer = tracing.Tracer()
     with tracer.installed():
         detector = Detector()

@@ -6,14 +6,19 @@ import pytest
 from scipy import stats
 
 from srsbs.channel import (
+    BLOCK,
     ChannelConfig,
     PRESETS,
     effective_modulation_to_noise,
     get_preset,
     propagate,
+    received_magnitudes,
     step,
 )
+from srsbs.detector import average_magnitude
+from srsbs.harness import CodeConfig
 from srsbs.srs import make_srs_symbol
+from srsbs.tag import encode_repetition, ook_state
 
 TRANSPARENT = 0.0
 BACKSCATTER = 1.0
@@ -173,3 +178,50 @@ class TestConfigAndPresets:
             for name in ("noiseless", "indoor_short", "indoor_long", "outdoor")
         ]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+class TestReceivedMagnitudes:
+    """The block simulation against a loop of the one-period reference API.
+
+    Both must give the same bytes and leave the generator in the same state:
+    the block function draws the same stream and does the same arithmetic.
+    """
+
+    MESSAGE = encode_repetition(CodeConfig().build().code(7), 7)
+    CONFIGS = {
+        **PRESETS,
+        "custom": ChannelConfig(
+            modulation_depth=0.03, noise_sigma=0.02, spike_probability=0.3, drift_rate=0.01
+        ),
+    }
+
+    def reference(self, pilot, n, tag_on, config, rng):
+        gain = config.base_gain
+        out = []
+        for k in range(n):
+            b = ook_state(self.MESSAGE, k) if tag_on else 0.0
+            received = propagate(pilot, b, gain, config, rng)
+            gain = step(gain, config, rng)
+            out.append(average_magnitude(received))
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 217])
+    @pytest.mark.parametrize("tag_on", [True, False])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_per_period_loop(self, name, tag_on, n):
+        config = self.CONFIGS[name]
+        pilot = make_srs_symbol()
+        rng_ref = np.random.default_rng(2024)
+        rng_block = np.random.default_rng(2024)
+        expected = self.reference(pilot, n, tag_on, config, rng_ref)
+        b = np.resize(self.MESSAGE > 0, n) if tag_on else np.zeros(n)
+        trace = received_magnitudes(pilot, b, config, rng_block)
+        assert trace.tobytes() == expected.tobytes()
+        assert rng_block.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_empty_keying_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        trace = received_magnitudes(make_srs_symbol(), np.zeros(0), PRESETS["outdoor"], rng)
+        assert trace.size == 0
+        assert rng.bit_generator.state == state

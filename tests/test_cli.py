@@ -341,3 +341,14 @@ class TestBaselineAndSweep:
         assert row[0] == "7.0"  # the value as given
         assert row[1] == "1.0"
         assert row[4] == str(2 * 7 * 31)  # n_srs = R * v * n, with v the int 7
+
+    @pytest.mark.parametrize("values", [",", " "])
+    def test_sweep_empty_values_rejected(self, values, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "noiseless", "--param", "modulation_depth",
+             "--values", values, "--messages", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --values must be comma-separated numbers, got {values!r}\n"
