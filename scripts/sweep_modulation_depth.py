@@ -33,16 +33,25 @@ def main(argv=None):
     parser.add_argument("--out", help="write rows as CSV here")
     args = parser.parse_args(argv)
 
-    depths = [float(x) for x in args.depths.split(",")]
-    base = ExperimentConfig(
-        scenario=ChannelConfig(
-            base_gain=0.3, modulation_depth=depths[0], noise_sigma=args.noise_sigma
-        ),
-        tag_code_id=args.code,
-        messages=args.messages,
-        seed=args.seed,
-    )
-    table = sweep(base, "modulation_depth", depths)
+    try:
+        depths = [float(x) for x in args.depths.split(",") if x.strip()]
+    except ValueError:
+        depths = []
+    try:
+        if not depths:
+            raise ValueError(f"--depths must be comma-separated numbers, got {args.depths!r}")
+        base = ExperimentConfig(
+            scenario=ChannelConfig(
+                base_gain=0.3, modulation_depth=depths[0], noise_sigma=args.noise_sigma
+            ),
+            tag_code_id=args.code,
+            messages=args.messages,
+            seed=args.seed,
+        )
+        table = sweep(base, "modulation_depth", depths)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'depth':>8}{'detection':>12}{'cross fa':>12}")
     rows = []
     for i, (depth, metrics) in enumerate(table):

@@ -3,9 +3,9 @@
 The tag's reflective state shows up as a small multiplicative amplitude
 change on the whole pilot symbol; everything else the receiver sees is
 nuisance: circular complex noise per subcarrier, rare symbol-wide magnitude
-spikes (front-end artifacts), and a slow random-walk gain drift. All
-randomness flows through one caller-supplied generator so a run is fully
-determined by its seed.
+spikes (front-end artifacts), and a slow random-walk gain drift. A run
+draws each of the three from its own stream spawned from the run seed, so it
+is fully determined by its seed.
 
 Preset parameter values are simulator calibration choices: the filter chain
 colors white per-period noise badly enough that the indoor presets carry
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -28,6 +26,10 @@ from ._config import check_fields
 
 @dataclass(frozen=True)
 class ChannelConfig:
+    """Channel parameters. No field changes how much any stream is drawn,
+    except that ``noise_sigma = 0`` draws no noise, so two configs under one
+    seed see the same realization of every source they share."""
+
     base_gain: float = 0.3
     modulation_depth: float = 0.05
     noise_sigma: float = 0.0
@@ -61,9 +63,10 @@ def propagate(
     ``noise_sigma`` per subcarrier. With probability ``spike_probability`` the
     whole symbol (noise included) is additionally scaled by ``spike_gain``.
 
-    Draws a fixed amount of randomness regardless of parameter values, so two
-    configs differing only in deterministic knobs see identical noise
-    realizations under the same generator state.
+    The one-period reference of ``received_magnitudes``, on one generator:
+    it draws 288 noise normals and one uniform whatever the parameters, so
+    two configs see the same noise under the same generator state. In the
+    block simulation the same holds per stream.
     """
     z = rng.standard_normal((2, pilot.size))
     noise = (z[0] + 1j * z[1]) * (config.noise_sigma / math.sqrt(2.0))
@@ -78,60 +81,64 @@ def step(gain: float, config: ChannelConfig, rng: np.random.Generator) -> float:
     return gain * math.exp(config.drift_rate * rng.standard_normal())
 
 
-# Periods simulated per block by ``received_magnitudes``; buffers are this long.
+# Version of the random-stream layout of ``received_magnitudes``; manifests
+# record it, since the same seed gives another trace under another layout.
+RNG_LAYOUT = 2
+
+# Periods of noise drawn per block by ``received_magnitudes``; buffers are this long.
 BLOCK = 64
 
 
 def received_magnitudes(
-    pilot: np.ndarray, b: np.ndarray, config: ChannelConfig, rng: np.random.Generator
+    pilot: np.ndarray, b: np.ndarray, config: ChannelConfig, seed: int
 ) -> np.ndarray:
     """Mean received magnitude for each period of the keying array ``b``.
 
-    The gain starts at ``config.base_gain``. The result, and the generator
-    state afterwards, equal a loop of ``propagate``, ``step`` and
-    ``average_magnitude`` over ``b`` bit for bit. Each period draws its 288
-    noise normals, its spike uniform and its drift normal in that order; one
-    drift normal and the next period's noise normals are drawn as one run of
-    289, which the ziggurat fills with the same values. The gain walks with
-    ``math.exp`` as in ``step``. Only the arithmetic on the draws runs on
-    blocks of ``BLOCK`` periods, each operation elementwise as ``propagate``
-    and ``average_magnitude`` do it for one period, into preallocated buffers.
+    Stream layout 2: ``SeedSequence(seed).spawn(3)`` gives the noise, spike
+    and drift streams, each drawn in bulk. The gain is ``base_gain *
+    exp(cumsum(rate * w))``, exclusive, so period 0 has ``base_gain``.
+    ``random(n) < spike_probability`` marks the periods whose magnitude is
+    multiplied by ``spike_gain``. Noise, 288 normals a period, is drawn in
+    blocks of ``BLOCK`` periods and added to ``A * p_k``, with ``A`` the gain
+    times ``1 + depth * b``; with ``noise_sigma = 0`` none is drawn and the
+    magnitude is ``A * mean(|p_k|)``. So a trace is a prefix of any longer
+    trace from the same seed, and configs that differ in one source share
+    the draws of the others. ``propagate`` and ``step`` give the model of
+    one period.
     """
     n, p = b.size, pilot.size
-    out = np.empty(n)
-    # Row i: the drift normal of the period before, then period i's noise
-    # (real parts, imaginary parts). Row 0 of the first block has no drift
-    # before it; its 0.0 makes the first gain factor exp(0.0) = 1.0.
-    z = np.zeros((BLOCK, 2 * p + 1))
-    draws = list(z)
-    first = [z[0, 1:]] + draws[1:]
-    noise = np.empty((BLOCK, p), dtype=complex)
-    clean = np.empty((BLOCK, p), dtype=complex)
-    magnitude = np.empty((BLOCK, p))
-    scale = config.noise_sigma / math.sqrt(2.0)
-    gain = config.base_gain
-    normal, uniform, exp = rng.standard_normal, rng.random, math.exp
-    for start in range(0, n, BLOCK):
-        m = min(BLOCK, n - start)
-        spike = []
-        for row in (draws if start else first)[:m]:
-            normal(out=row)
-            spike.append(uniform())
-        # Each period's gain is the one before times exp(rate * drift), as in step.
-        factors = map(exp, (config.drift_rate * z[:m, 0]).tolist())
-        gains = list(accumulate(factors, mul, initial=gain))[1:]
-        gain = gains[-1]
-        rx = noise[:m]
-        np.multiply(1j, z[:m, p + 1:], out=rx)
-        np.add(z[:m, 1:p + 1], rx, out=rx)
-        np.multiply(rx, scale, out=rx)
-        amplitude = np.multiply(gains, 1.0 + config.modulation_depth * b[start:start + m])
-        np.multiply(amplitude[:, None], pilot, out=clean[:m])
-        np.add(clean[:m], rx, out=rx)
-        rx[np.less(spike, config.spike_probability)] *= config.spike_gain
-        np.mean(np.abs(rx, out=magnitude[:m]), axis=1, out=out[start:start + m])
-    if n:
-        normal()  # the last period's drift
+    noise, spike, drift = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    amplitude = np.zeros(n)
+    drift.standard_normal(out=amplitude[1:])
+    amplitude *= config.drift_rate
+    np.cumsum(amplitude, out=amplitude)
+    np.exp(amplitude, out=amplitude)
+    amplitude *= config.base_gain
+    # ``out`` holds 1 + depth * b, then the spike uniforms, then the magnitudes.
+    out = np.multiply(b, config.modulation_depth, dtype=float)
+    out += 1.0
+    amplitude *= out
+    spiked = spike.random(out=out) < config.spike_probability
+    if config.noise_sigma == 0:
+        np.multiply(amplitude, np.mean(np.abs(pilot)), out=out)
+    else:
+        parts = np.stack([pilot.real, pilot.imag])
+        z = np.empty((BLOCK, 2, p))
+        clean = np.empty((BLOCK, 2, p))
+        magnitude = np.empty((BLOCK, p))
+        scale = config.noise_sigma / math.sqrt(2.0)
+        for start in range(0, n, BLOCK):
+            m = min(BLOCK, n - start)
+            rx = z[:m]
+            noise.standard_normal(out=rx)
+            rx *= scale
+            np.multiply(amplitude[start:start + m, None, None], parts, out=clean[:m])
+            rx += clean[:m]
+            rx *= rx
+            np.add(rx[:, 0], rx[:, 1], out=magnitude[:m])
+            np.sqrt(magnitude[:m], out=magnitude[:m])
+            np.mean(magnitude[:m], axis=1, out=out[start:start + m])
+    out[spiked] *= config.spike_gain
     return out
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import harness
 from ._config import dump
+from .channel import RNG_LAYOUT
 from .detector import Detector
 from .harness import ExperimentConfig
 from .tag import generate_gold_set
@@ -99,9 +100,8 @@ def cmd_simulate(args) -> int:
             fh.write(harness.format_events(metrics.events, "csv"))
     row = harness.results_row(config.scenario_name(), metrics, config.seed)
     _write_output(args, harness.format_results([row], args.format))
-    _write_manifest(
-        args, "simulate", config, {"metrics": harness.metrics_summary(metrics)}
-    )
+    summary = harness.metrics_summary(metrics)
+    _write_manifest(args, "simulate", config, {"metrics": summary, "rng_layout": RNG_LAYOUT})
     return 0
 
 
@@ -142,6 +142,7 @@ def cmd_baseline(args) -> int:
         {
             "metrics_off": harness.metrics_summary(off),
             "metrics_on": harness.metrics_summary(on),
+            "rng_layout": RNG_LAYOUT,
         },
     )
     return 0
@@ -161,9 +162,8 @@ def cmd_sweep(args) -> int:
         for i, (value, metrics) in enumerate(results)
     ]
     _write_output(args, harness.format_results(rows, args.format))
-    _write_manifest(
-        args, "sweep", config, {"parameter": args.param, "values": values}
-    )
+    extra = {"parameter": args.param, "values": values, "rng_layout": RNG_LAYOUT}
+    _write_manifest(args, "sweep", config, extra)
     return 0
 
 

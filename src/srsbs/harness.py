@@ -274,8 +274,7 @@ def run_experiment(config: ExperimentConfig, keep_trace: bool = False) -> Metric
     pilot = make_srs_symbol(config.zc)
     n = config.messages * config.detector.window_length
     b = np.resize(message > 0, n) if config.tag_enabled else np.zeros(n)
-    rng = np.random.default_rng(config.seed)
-    trace = received_magnitudes(pilot, b, config.channel_config(), rng)
+    trace = received_magnitudes(pilot, b, config.channel_config(), config.seed)
     events = detect_trace(trace, detector)
     return _count_metrics(events, config, trace if keep_trace else None)
 

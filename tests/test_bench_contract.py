@@ -8,11 +8,11 @@ layers it wraps are the one-period reference API (``ook_state``,
 ``propagate``, ``step``, ``average_magnitude``, looked up in
 ``srsbs.harness``) and the one-sample streaming detector
 (``Detector.process``). Runs simulate the channel in blocks
-(``received_magnitudes``) and detect with the block kernel, which call none
-of them, so the layers are counted on a per-period loop over the same
-periods. The benchmark's set-up child and its workloads also call srsbs
-outside the tracer, through the config API; those calls are checked here
-too.
+(``received_magnitudes``, on its own stream layout) and detect with the
+block kernel, which call none of them, so the layers are counted on a
+per-period loop over as many periods. The benchmark's set-up child and its
+workloads also call srsbs outside the tracer, through the config API; those
+calls are checked here too.
 """
 
 import json
@@ -76,13 +76,12 @@ def test_traced_simulate_counts_every_layer(tmp_path, capsys, monkeypatch):
         pilot = make_srs_symbol()
         rng = np.random.default_rng(3)
         gain = channel.base_gain
-        magnitudes = []
         for k in range(PERIODS):
             b = harness.ook_state(message, k)
             received = harness.propagate(pilot, b, gain, channel, rng)
             gain = harness.step(gain, channel, rng)
-            magnitudes.append(harness.average_magnitude(received))
-    assert magnitudes == trace.tolist()
+            harness.average_magnitude(received)
+    assert np.all(np.isfinite(trace)) and np.all(trace > 0)
     assert tracer.report()["counts"]["channel.normals"] == NORMALS_PER_PERIOD * PERIODS
     calls = _layer_calls(tracer)
     for layer in CHANNEL_LAYERS:

@@ -18,7 +18,9 @@ from srsbs.channel import (
 from srsbs.detector import average_magnitude
 from srsbs.harness import CodeConfig
 from srsbs.srs import make_srs_symbol
-from srsbs.tag import encode_repetition, ook_state
+from srsbs.tag import encode_repetition
+
+from channel_model import layout_streams, one_period_trace
 
 TRANSPARENT = 0.0
 BACKSCATTER = 1.0
@@ -181,10 +183,16 @@ class TestConfigAndPresets:
 
 
 class TestReceivedMagnitudes:
-    """The block simulation against a loop of the one-period reference API.
+    """The block simulation against the one-period model on the same streams.
 
-    Both must give the same bytes and leave the generator in the same state:
-    the block function draws the same stream and does the same arithmetic.
+    Stream layout 2 draws the noise, the spikes and the drift from three
+    streams spawned from the run seed. The one-period model in
+    ``channel_model`` draws the same values one period at a time; the traces
+    differ only by rounding, because the block code takes the gain as an exp
+    of a cumulative sum instead of a product of exps, the magnitude as
+    ``sqrt(x*x + y*y)`` instead of ``hypot``, and spikes the mean instead of
+    the symbol. ``RTOL`` bounds that rounding over a few hundred periods; a
+    draw out of place moves a value by far more.
     """
 
     MESSAGE = encode_repetition(CodeConfig().build().code(7), 7)
@@ -194,16 +202,11 @@ class TestReceivedMagnitudes:
             modulation_depth=0.03, noise_sigma=0.02, spike_probability=0.3, drift_rate=0.01
         ),
     }
+    RTOL = 1e-12
+    SEED = 2024
 
-    def reference(self, pilot, n, tag_on, config, rng):
-        gain = config.base_gain
-        out = []
-        for k in range(n):
-            b = ook_state(self.MESSAGE, k) if tag_on else 0.0
-            received = propagate(pilot, b, gain, config, rng)
-            gain = step(gain, config, rng)
-            out.append(average_magnitude(received))
-        return np.array(out)
+    def keying(self, n, tag_on=True):
+        return np.resize(self.MESSAGE > 0, n) if tag_on else np.zeros(n)
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 217])
     @pytest.mark.parametrize("tag_on", [True, False])
@@ -211,17 +214,85 @@ class TestReceivedMagnitudes:
     def test_matches_per_period_loop(self, name, tag_on, n):
         config = self.CONFIGS[name]
         pilot = make_srs_symbol()
-        rng_ref = np.random.default_rng(2024)
-        rng_block = np.random.default_rng(2024)
-        expected = self.reference(pilot, n, tag_on, config, rng_ref)
-        b = np.resize(self.MESSAGE > 0, n) if tag_on else np.zeros(n)
-        trace = received_magnitudes(pilot, b, config, rng_block)
-        assert trace.tobytes() == expected.tobytes()
-        assert rng_block.bit_generator.state == rng_ref.bit_generator.state
+        b = self.keying(n, tag_on)
+        expected = one_period_trace(pilot, b, config, *layout_streams(self.SEED))
+        trace = received_magnitudes(pilot, b, config, self.SEED)
+        np.testing.assert_allclose(trace, expected, rtol=self.RTOL, atol=0)
 
-    def test_empty_keying_draws_nothing(self):
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        trace = received_magnitudes(make_srs_symbol(), np.zeros(0), PRESETS["outdoor"], rng)
-        assert trace.size == 0
-        assert rng.bit_generator.state == state
+    @pytest.mark.parametrize("tag_on", [True, False])
+    def test_clean_channel_matches_propagate(self, tag_on):
+        # no noise, spikes or drift: the magnitude is the amplitude times mean|p_k|
+        config = ChannelConfig(modulation_depth=0.05)
+        pilot = make_srs_symbol()
+        b = self.keying(217, tag_on)
+        rng = np.random.default_rng(self.SEED)
+        gain = config.base_gain
+        expected = []
+        for k in range(b.size):
+            expected.append(average_magnitude(propagate(pilot, b[k], gain, config, rng)))
+            gain = step(gain, config, rng)
+        trace = received_magnitudes(pilot, b, config, self.SEED)
+        assert np.max(np.abs(trace / np.array(expected) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 217])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_prefix_of_a_longer_run(self, name, n):
+        config = self.CONFIGS[name]
+        pilot = make_srs_symbol()
+        b = self.keying(5 * BLOCK)
+        whole = received_magnitudes(pilot, b, config, self.SEED)
+        assert received_magnitudes(pilot, b[:n], config, self.SEED).tobytes() == whole[:n].tobytes()
+
+    def test_depths_share_spikes_and_gains(self):
+        pilot = make_srs_symbol()
+        b = self.keying(217)
+        shallow = ChannelConfig(modulation_depth=0.01, spike_probability=0.3, drift_rate=0.01)
+        deep = dataclasses.replace(shallow, modulation_depth=0.05)
+        a = received_magnitudes(pilot, b, shallow, self.SEED) / (1.0 + 0.01 * b)
+        c = received_magnitudes(pilot, b, deep, self.SEED) / (1.0 + 0.05 * b)
+        np.testing.assert_allclose(a, c, rtol=1e-14, atol=0)
+        # what they share holds both sources: without drift only the spikes
+        # (x3) are left, and the ratio to that is the gain walk, with no x3 steps
+        steady = received_magnitudes(
+            pilot, b, dataclasses.replace(shallow, drift_rate=0.0), self.SEED
+        ) / (1.0 + 0.01 * b)
+        assert 0 < np.sum(steady > 2 * steady.min()) < b.size
+        walk = np.log(a / steady)
+        assert np.ptp(walk) > 0.01
+        assert np.max(np.abs(np.diff(walk))) < 0.1
+
+    def test_noise_levels_share_the_noise(self):
+        # |2g p + 2 sigma n| = 2 |g p + sigma n|, exactly in binary floating point
+        pilot = make_srs_symbol()
+        b = self.keying(217)
+        quiet = ChannelConfig(base_gain=0.3, modulation_depth=0.03, noise_sigma=0.02)
+        loud = dataclasses.replace(quiet, base_gain=0.6, noise_sigma=0.04)
+        trace = received_magnitudes(pilot, b, quiet, self.SEED)
+        np.testing.assert_array_equal(received_magnitudes(pilot, b, loud, self.SEED), 2 * trace)
+        other = received_magnitudes(pilot, b, quiet, self.SEED + 1)
+        assert not np.array_equal(other, trace)
+
+    def test_magnitudes_follow_the_one_period_model(self):
+        # independent seeds; no drift, so the periods of each trace are independent
+        config = ChannelConfig(
+            modulation_depth=0.05, noise_sigma=0.12, spike_probability=0.05
+        )
+        pilot = make_srs_symbol()
+        b = self.keying(3000)
+        trace = received_magnitudes(pilot, b, config, 1)
+        model = one_period_trace(pilot, b, config, *layout_streams(2))
+        assert stats.ks_2samp(trace, model).pvalue > 0.01
+
+    def test_log_gain_increments_follow_the_one_period_model(self):
+        config = ChannelConfig(modulation_depth=0.0, drift_rate=0.01)
+        pilot = make_srs_symbol()
+        b = np.zeros(5000)
+        increments = np.diff(np.log(received_magnitudes(pilot, b, config, 1)))
+        model = np.diff(np.log(one_period_trace(pilot, b, config, *layout_streams(2))))
+        assert stats.ks_2samp(increments, model).pvalue > 0.01
+        assert np.std(increments) == pytest.approx(config.drift_rate, rel=0.05)
+
+    def test_empty_keying_gives_empty_trace(self):
+        trace = received_magnitudes(make_srs_symbol(), np.zeros(0), PRESETS["outdoor"], 1)
+        assert trace.shape == (0,)
+        assert trace.dtype == np.float64

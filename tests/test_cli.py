@@ -352,3 +352,28 @@ class TestBaselineAndSweep:
         assert code == 2
         assert out == ""
         assert err == f"error: --values must be comma-separated numbers, got {values!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--export-trace", "trace.txt", "--events", "events.csv"],
+        ["baseline", "--export-trace", "trace"],
+        ["sweep", "--param", "noise_sigma", "--values", "0.12,0.06"],
+    ],
+    ids=["simulate", "baseline", "sweep"],
+)
+def test_manifest_records_rng_layout_and_reruns_repeat(tmp_path, capsys, monkeypatch, argv):
+    outputs = []
+    for run in ("first", "second"):
+        workdir = tmp_path / run
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        args = [*argv, "--scenario", "outdoor", "--code", "7", "--messages", "1",
+                "--seed", "9", "--out", "results.csv"]
+        assert main(args) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(workdir.iterdir())})
+    assert outputs[0] == outputs[1]
+    manifest = json.loads(outputs[0]["results.csv.manifest.json"])
+    assert manifest["command"] == argv[0]
+    assert manifest["rng_layout"] == 2
