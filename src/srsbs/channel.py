@@ -142,22 +142,6 @@ def received_magnitudes(
     return out
 
 
-def effective_modulation_to_noise(config: ChannelConfig) -> float:
-    """Modulation depth relative to all disturbance sources combined.
-
-    Spikes count by their excess gain weighted by rate; infinite for a fully
-    clean channel. Used only to order presets, not as a physical quantity.
-    """
-    disturbance = (
-        config.noise_sigma
-        + config.spike_probability * (config.spike_gain - 1.0)
-        + config.drift_rate
-    )
-    if disturbance == 0:
-        return math.inf
-    return config.modulation_depth / disturbance
-
-
 PRESETS: dict[str, ChannelConfig] = {
     "noiseless": ChannelConfig(base_gain=0.3, modulation_depth=0.05),
     "indoor_short": ChannelConfig(

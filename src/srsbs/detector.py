@@ -13,7 +13,6 @@ compares two quantities that scale together, and Pearson is affine-invariant.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._config import check_fields
-from .tag import CODE_LENGTH, REPEATS, GoldCodeSet, encode_repetition, generate_gold_set
+from .tag import CODE_LENGTH, REPEATS, GoldCodeSet, generate_gold_set
 
 SD_REPLACE_MEAN = "mean"
 SD_REPLACE_PREVIOUS = "previous"
@@ -336,20 +335,14 @@ class Detector:
                 f"code set length {code_set.codes.shape[1]} does not match "
                 f"configured chip count {self.config.n}"
             )
-        templates = np.array(
-            [
-                encode_repetition(code_set.code(cid), self.config.v)
-                for cid in code_set.labels
-            ],
-            dtype=np.float64,
-        )
+        chips = np.array([code_set.code(cid) for cid in code_set.labels], dtype=np.float64)
+        templates = np.repeat(chips, self.config.v, axis=1)
         centered = templates - templates.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(centered, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise ValueError("constant code template cannot be correlated")
-        self._templates_normed = centered / norms
-        # each template is constant over a chip: one row per chip suffices
-        self._chip_templates = np.ascontiguousarray(self._templates_normed[:, :: self.config.v].T)
+        # each template is constant over a chip: one value per chip suffices
+        self._chip_templates = np.ascontiguousarray((centered / norms)[:, :: self.config.v])
         self.state = DetectorState(
             correlation_window=np.zeros(self.config.window_length)
         )
@@ -388,7 +381,7 @@ class Detector:
         return events
 
     def _correlate_block(self, y: np.ndarray) -> list[DetectionEvent]:
-        """``detect_step`` over a block: screen every window, redo candidates exactly.
+        """``detect_step`` over a block: screen every window, decide the rest as one stack.
 
         The screen correlates all full windows at once from chip sums of the
         block taken about its own mean (the templates are centred, so the
@@ -396,9 +389,11 @@ class Detector:
         M**2 / norm2, where M is the block's largest offset from that mean
         and norm2 the window's screened squared norm. So a window is skipped
         only when norm2 > 0 and its screened best is at most
-        ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. Every other window
-        goes through ``detect_step``'s own arithmetic, so events, ties and
-        correlations are its bit for bit.
+        ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. The other windows go
+        to ``_correlations`` in one stack, which gives each row the bits of
+        a one-row call, so events, ties and correlations are
+        ``detect_step``'s bit for bit. Windows of one repeated value share
+        an outcome, so the stack holds one of them per value.
         """
         state = self.state
         length, v = self.config.window_length, self.config.v
@@ -418,33 +413,23 @@ class Detector:
         norm2 = chip_squares.sum(axis=1) - chip_sums.sum(axis=1) ** 2 / length
         spread = np.max(np.abs(offsets)) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            screened = (chip_sums @ self._chip_templates) / np.sqrt(norm2)[:, None]
+            screened = (chip_sums @ self._chip_templates.T) / np.sqrt(norm2)[:, None]
             if self.config.polarity_agnostic:
                 screened = np.abs(screened)
             quiet = (norm2 > 0) & (
                 screened.max(axis=1) <= self.config.theta - SCREEN_MARGIN * (1 + spread / norm2)
             )
-        # windows of one repeated value share an outcome: decide each value once
+        candidates = np.flatnonzero(~quiet) + first
         changes = np.concatenate(([0], np.cumsum(series[1:] != series[:-1])))
-        constant: dict[float, DetectionEvent | None] = {}
-        events = []
-        for k in (np.flatnonzero(~quiet) + first).tolist():
-            window = series[k + 1 : k + 1 + length]
-            if changes[k + length] != changes[k + 1]:
-                event = self._window_event(window, period + k)
-            else:
-                if window[0] not in constant:
-                    constant[window[0]] = self._window_event(window, 0)
-                event = constant[window[0]]
-                if event is not None:
-                    event = dataclasses.replace(event, period_index=period + k)
-            if event is not None:
-                events.append(event)
-        return events
-
-    def _window_event(self, window: np.ndarray, period: int) -> DetectionEvent | None:
-        correlations = self._correlations(window)
-        return None if correlations is None else self._decide(correlations, period)
+        flat = changes[candidates + length] == changes[candidates + 1]
+        _, once, inverse = np.unique(
+            series[candidates[flat] + 1], return_index=True, return_inverse=True
+        )
+        stacked = np.concatenate((candidates[~flat], candidates[flat][once]))
+        rows = np.cumsum(~flat) - 1  # each candidate's row of the stack
+        rows[flat] = stacked.size - once.size + inverse
+        correlations, _ = self._correlations(sliding_window_view(series, length)[stacked + 1])
+        return self._decide(correlations, period + candidates, rows)
 
     def detect_step(self, y: float) -> DetectionEvent | None:
         """Slide the filtered sample in; once full, rank all codes.
@@ -464,29 +449,43 @@ class Detector:
         correlations = self.correlate()
         if correlations is None:
             return None
-        return self._decide(correlations, period)
+        events = self._decide(correlations[None], np.array([period]), np.zeros(1, np.intp))
+        return events[0] if events else None
 
-    def _decide(self, correlations: np.ndarray, period: int) -> DetectionEvent | None:
+    def _decide(self, correlations, periods, rows) -> list[DetectionEvent]:
+        """Events of the windows ending at ``periods`` whose best code clears theta.
+
+        Window ``i`` has the correlations ``correlations[rows[i]]``. The best
+        code is the first maximum of a row, so ties break toward the lowest
+        code id; a flat window's row is NaN and clears no theta.
+        """
         ranked = np.abs(correlations) if self.config.polarity_agnostic else correlations
-        best = int(np.argmax(ranked))
-        if ranked[best] > self.config.theta:
-            return DetectionEvent(
-                period_index=period,
-                code_id=int(self.code_set.labels[best]),
-                correlation=float(correlations[best]),
-            )
-        return None
+        best = ranked.argmax(axis=1)
+        fired = np.flatnonzero((ranked[np.arange(len(ranked)), best] > self.config.theta)[rows])
+        row = rows[fired]
+        codes = np.asarray(self.code_set.labels)[best[row]]
+        values = correlations[row, best[row]]
+        return list(map(DetectionEvent, periods[fired].tolist(), codes.tolist(), values.tolist()))
 
     def correlate(self) -> np.ndarray | None:
         """Pearson correlation of the current window against all templates.
 
         None when the window has zero variance (flat stream).
         """
-        return self._correlations(self.state.correlation_window)
+        correlations, norm = self._correlations(self.state.correlation_window[None])
+        return None if norm[0] == 0 else correlations[0]
 
-    def _correlations(self, window: np.ndarray) -> np.ndarray | None:
-        centered = window - window.mean()
-        norm = np.linalg.norm(centered)
-        if norm == 0:
-            return None
-        return self._templates_normed @ (centered / norm)
+    def _correlations(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Correlations of a ``(k, L)`` window stack with every template, and each centred norm.
+
+        A flat window (norm 0) gives a NaN row. Every reduction runs along a
+        row in an order that does not depend on k (pairwise sums for the mean
+        and the norm, ``v`` samples per chip sum, ``einsum`` without BLAS over
+        the chips), so a row has the same bits in a stack of one or thousands.
+        """
+        k, length = windows.shape
+        centred = windows - (np.add.reduce(windows, axis=1) / length)[:, None]
+        norm = np.sqrt(np.add.reduce(centred * centred, axis=1))
+        chips = np.add.reduce(centred.reshape(k, self.config.n, self.config.v), axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.einsum("kc,jc->kj", chips, self._chip_templates) / norm[:, None], norm

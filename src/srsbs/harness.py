@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -70,7 +71,9 @@ class CodeConfig:
     def __post_init__(self):
         check_fields(self)
 
+    @functools.cache
     def build(self) -> GoldCodeSet:
+        """The audited family, built once per distinct config in a process."""
         return generate_gold_set(
             LfsrSpec(taps=self.poly_a, seed=self.seed_a),
             LfsrSpec(taps=self.poly_b, seed=self.seed_b),

@@ -93,14 +93,16 @@ class GoldCodeSet:
     """The 33 candidate tag codes, indexed by stable ids 0..32.
 
     Ordering: id 0 and 1 are the two m-sequences; id 2+tau is the product of
-    the first with the tau-step left rotation of the second.
+    the first with the tau-step left rotation of the second. ``codes`` is a
+    read-only copy, so one family can be shared between runs.
     """
 
     codes: np.ndarray
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int8)
+        codes = np.array(self.codes, dtype=np.int8)
+        codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
         if codes.shape != (len(self.labels), CODE_LENGTH):
             raise ValueError(f"expected {len(self.labels)} codes of length {CODE_LENGTH}")

@@ -9,7 +9,6 @@ from srsbs.channel import (
     BLOCK,
     ChannelConfig,
     PRESETS,
-    effective_modulation_to_noise,
     get_preset,
     propagate,
     received_magnitudes,
@@ -175,10 +174,18 @@ class TestConfigAndPresets:
             get_preset("underwater")
 
     def test_presets_ordered_by_modulation_to_noise(self):
-        ratios = [
-            effective_modulation_to_noise(PRESETS[name])
-            for name in ("noiseless", "indoor_short", "indoor_long", "outdoor")
-        ]
+        """Modulation depth over all disturbances combined, spikes by excess gain times rate."""
+
+        def ratio(config):
+            disturbance = (
+                config.noise_sigma
+                + config.spike_probability * (config.spike_gain - 1.0)
+                + config.drift_rate
+            )
+            return math.inf if disturbance == 0 else config.modulation_depth / disturbance
+
+        names = ("noiseless", "indoor_short", "indoor_long", "outdoor")
+        ratios = [ratio(PRESETS[name]) for name in names]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 

@@ -254,6 +254,46 @@ class TestDetectStep:
         assert got_agnostic[0].correlation == pytest.approx(-1.0, abs=1e-12)
 
 
+def window_stack(gold_set, k, seed):
+    """``k`` windows of mixed kinds: noisy, offset, keyed, constant and flat."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(0.3, rng.uniform(1e-6, 0.1, size=(k, 1)), size=(k, 217))
+    kinds = rng.integers(0, 5, size=k)
+    keyed = encode_repetition(gold_set.code(int(rng.integers(33))), 7) > 0
+    stack[kinds == 1] += 1e6  # a large offset next to a small spread
+    stack[kinds == 2] = 0.3 + 0.01 * keyed + rng.normal(0.0, 1e-3, size=(np.sum(kinds == 2), 217))
+    # constant rows whose mean does not come out exact, and rows of exact zero variance
+    stack[kinds == 3] = rng.choice([0.1, 1 / 3, 0.7, 0.45], size=(np.sum(kinds == 3), 1))
+    stack[kinds == 4] = rng.choice([0.0, 0.25, 2.0], size=(np.sum(kinds == 4), 1))
+    return stack
+
+
+class TestStackedCorrelations:
+    """``Detector._correlations`` gives each row of a stack the bits of a one-row call."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 217, 4096])
+    @given(seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 4096), max_size=4))
+    @settings(max_examples=4, deadline=None)
+    def test_rows_match_one_row_calls(self, gold_set, k, seed, cuts):
+        detector = Detector(DetectorConfig(code_set=gold_set))
+        stack = window_stack(gold_set, k, seed)
+        correlations, norm = detector._correlations(stack)
+        assert correlations.shape == (k, 33)
+        alone = [detector._correlations(window[None]) for window in stack]
+        assert correlations.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+        assert norm.tobytes() == np.concatenate([n for _, n in alone]).tobytes()
+        parts = np.split(stack, sorted(c % (k + 1) for c in cuts))
+        pieces = np.concatenate([detector._correlations(part)[0] for part in parts])
+        assert pieces.tobytes() == correlations.tobytes()
+
+    def test_flat_rows_are_nan_and_varied_rows_finite(self, gold_set):
+        detector = Detector(DetectorConfig(code_set=gold_set))
+        stack = np.stack([np.full(217, 0.25), np.random.default_rng(0).normal(0.3, 0.01, 217)])
+        correlations, norm = detector._correlations(stack)
+        assert norm[0] == 0 and np.all(np.isnan(correlations[0]))
+        assert norm[1] > 0 and np.all(np.isfinite(correlations[1]))
+
+
 class TestPipeline:
     def make_stream(self, gold_set, seed=0, periods=3 * 217):
         """Two-level keyed stream with mild noise, already below alpha."""

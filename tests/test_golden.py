@@ -4,7 +4,8 @@
 ``baseline`` write for fixed arguments; ``golden/short_trace.txt`` is a
 recorded three-message trace and ``golden/short_trace_events.csv`` the events
 ``detect`` reports for it. A change that alters any of these bytes says so,
-with the reason, in CHANGES.md and refreshes the fixture in the same change.
+with the reason, in CHANGES.md and refreshes the fixture in the same change;
+``scripts/regen_goldens.py`` rewrites both fixtures from these helpers.
 """
 
 import hashlib
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from srsbs.cli import main
+from srsbs.detector import Detector, pearson
+from srsbs.harness import read_events_csv, read_trace
+from srsbs.tag import encode_repetition
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
@@ -49,6 +53,12 @@ def baseline_digests(workdir: Path) -> dict:
     return {name: sha256(p) for name, p in files.items()}
 
 
+def detect_events(workdir: Path) -> Path:
+    out = workdir / "events.csv"
+    assert main(["detect", "--trace", str(GOLDEN / "short_trace.txt"), "--out", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("scenario", PRESETS)
 def test_simulate_outputs_pinned(tmp_path, capsys, scenario):
     assert simulate_digests(tmp_path, scenario) == DIGESTS["simulate"][scenario]
@@ -59,8 +69,25 @@ def test_baseline_outputs_pinned(tmp_path, capsys):
 
 
 def test_detect_events_pinned(tmp_path, capsys):
-    out = tmp_path / "events.csv"
-    assert main(["detect", "--trace", str(GOLDEN / "short_trace.txt"), "--out", str(out)]) == 0
+    out = detect_events(tmp_path)
     expected = (GOLDEN / "short_trace_events.csv").read_text()
     assert expected.count("\n") > 1  # the pinned trace does produce events
     assert out.read_text() == expected
+
+
+def test_pinned_correlations_follow_the_definition(gold_set):
+    """Each pinned correlation is ``pearson`` of its code and its filtered window."""
+    with open(GOLDEN / "short_trace.txt") as fh:
+        trace = read_trace(fh)
+    with open(GOLDEN / "short_trace_events.csv") as fh:
+        pinned = {ev.period_index: ev for ev in read_events_csv(fh)}
+    assert len(pinned) == 41
+    detector = Detector()
+    for period, value in enumerate(trace):
+        detector.process(value)
+        if period in pinned:
+            event = pinned.pop(period)
+            template = encode_repetition(gold_set.code(event.code_id), 7)
+            r = pearson(template, detector.state.correlation_window)
+            assert abs(event.correlation - r) <= 1e-12, period
+    assert not pinned

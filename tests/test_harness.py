@@ -185,6 +185,32 @@ class TestSweep:
             sweep(quick_config(), "v", [7.0, 7.5])
 
 
+class TestCodeFamily:
+    """``CodeConfig.build`` builds each distinct family once per process; it is read-only."""
+
+    def test_equal_configs_share_one_family(self):
+        assert CodeConfig().build() is CodeConfig().build()
+        assert CodeConfig(seed_a=(1, 0, 1, 0, 1)).build() is not CodeConfig().build()
+
+    def test_family_cannot_be_written(self):
+        family = CodeConfig().build()
+        with pytest.raises(ValueError, match="read-only"):
+            family.codes[0, 0] = -family.codes[0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            family.code(3)[:] = 1
+
+    def test_sweep_output_does_not_depend_on_a_warm_cache(self):
+        base = quick_config(scenario="outdoor", messages=1, seed=9)
+
+        def table():
+            points = sweep(base, "modulation_depth", [0.05, 0.01])
+            rows = [results_row(value, m, derive_seed(9, i)) for i, (value, m) in enumerate(points)]
+            return format_results(rows, "csv")
+
+        CodeConfig.build.cache_clear()
+        assert table() == table()
+
+
 class TestSeedsAndIntervals:
     def test_derive_seed_deterministic(self):
         assert derive_seed(42, 0) == derive_seed(42, 0)
@@ -511,6 +537,29 @@ class TestBlockKernel:
         filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
         expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
         assert expected
+        got = Detector(detector_cfg, filter_cfg).process_block(trace)
+        assert _tuples(got) == _tuples(expected)
+
+    def test_constant_stretches_of_several_values(self, gold_set):
+        """Each constant window takes the outcome of its own value.
+
+        A constant window whose mean does not come out exact has a tiny
+        nonzero norm, and at a theta of 1e-30 it fires with a code that
+        depends on the value; 1/3 and 0.25 give flat windows. All the
+        stretches sit in one block, so the kernel stacks each value once.
+        """
+        values = (0.1, 1 / 3, 0.3, 0.1, 0.45, 0.25, 0.3)
+        trace = np.concatenate([np.full(300, value) for value in values])
+        detector_cfg = DetectorConfig(code_set=gold_set, theta=1e-30)
+        filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
+        expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+        outcomes = {}  # value -> the events of the windows holding only that value
+        for ev in expected:
+            window = trace[ev.period_index - 216 : ev.period_index + 1]
+            if np.all(window == window[0]):
+                outcomes.setdefault(window[0], set()).add((ev.code_id, ev.correlation))
+        assert sorted(outcomes) == [0.1, 0.3, 0.45]
+        assert len({frozenset(events) for events in outcomes.values()}) == 3
         got = Detector(detector_cfg, filter_cfg).process_block(trace)
         assert _tuples(got) == _tuples(expected)
 
