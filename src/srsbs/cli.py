@@ -107,13 +107,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _load_config(args)
+    detector_config = dataclasses.replace(config.detector, code_set=config.codes.build())
+    detector = Detector(detector_config, config.filter)
     try:
         with open(args.trace) as fh:
-            trace = harness.read_trace(fh)
+            chunks = harness.trace_chunks(fh)
+            events = [ev for chunk in chunks for ev in harness.detect_trace(chunk, detector)]
     except OSError as exc:
         raise OSError(f"cannot read trace {args.trace}: {exc.strerror}") from exc
-    detector_config = dataclasses.replace(config.detector, code_set=config.codes.build())
-    events = harness.detect_trace(trace, Detector(detector_config, config.filter))
     _write_output(args, harness.format_events(events, args.format))
     _write_manifest(
         args, "detect", config, {"trace": str(args.trace), "events": len(events)}

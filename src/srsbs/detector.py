@@ -389,7 +389,10 @@ class Detector:
         M**2 / norm2, where M is the block's largest offset from that mean
         and norm2 the window's screened squared norm. So a window is skipped
         only when norm2 > 0 and its screened best is at most
-        ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. The other windows go
+        ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. The screen compares
+        the unscaled product with that bound times ``sqrt(norm2)``; the
+        multiply and the root move the bound by a few ulp, far inside the
+        1e-9 of slack. The other windows go
         to ``_correlations`` in one stack, which gives each row the bits of
         a one-row call, so events, ties and correlations are
         ``detect_step``'s bit for bit. Windows of one repeated value share
@@ -405,20 +408,19 @@ class Detector:
         state.period_counter += y.size
         if first >= y.size:
             return []
-        # window k is series[k + 1 : k + 1 + length]; its chip c starts at k + 1 + v * c
+        # window k is series[k + 1 : k + 1 + length]; its chip c sums series[k + 1 + v * c :][:v]
         offsets = series - series.mean()
-        starts = np.arange(first + 1, y.size + 1)[:, None] + v * np.arange(self.config.n)
-        chip_sums = sliding_window_view(offsets, v).sum(axis=1)[starts]
-        chip_squares = sliding_window_view(offsets * offsets, v).sum(axis=1)[starts]
+        sums = sliding_window_view(offsets, v).sum(axis=1)[first + 1 :]
+        squares = sliding_window_view(offsets * offsets, v).sum(axis=1)[first + 1 :]
+        chip_sums = np.ascontiguousarray(sliding_window_view(sums, length - v + 1)[:, ::v])
+        chip_squares = sliding_window_view(squares, length - v + 1)[:, ::v]
         norm2 = chip_squares.sum(axis=1) - chip_sums.sum(axis=1) ** 2 / length
         spread = np.max(np.abs(offsets)) ** 2
+        raw = chip_sums @ self._chip_templates.T
+        best = (np.abs(raw) if self.config.polarity_agnostic else raw).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            screened = (chip_sums @ self._chip_templates.T) / np.sqrt(norm2)[:, None]
-            if self.config.polarity_agnostic:
-                screened = np.abs(screened)
-            quiet = (norm2 > 0) & (
-                screened.max(axis=1) <= self.config.theta - SCREEN_MARGIN * (1 + spread / norm2)
-            )
+            bound = (self.config.theta - SCREEN_MARGIN * (1 + spread / norm2)) * np.sqrt(norm2)
+        quiet = (norm2 > 0) & (best <= bound)
         candidates = np.flatnonzero(~quiet) + first
         changes = np.concatenate(([0], np.cumsum(series[1:] != series[:-1])))
         flat = changes[candidates + length] == changes[candidates + 1]

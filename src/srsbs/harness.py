@@ -17,10 +17,11 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 from scipy.special import betaincinv
@@ -30,6 +31,7 @@ from ._config import check_fields, dump, keys, load
 # Unused here: perfbench/tracing.py wraps propagate, step, average_magnitude, ook_state in harness.
 from .channel import ChannelConfig, get_preset, propagate, received_magnitudes, step
 from .detector import (
+    BLOCK,
     DetectionEvent,
     Detector,
     DetectorConfig,
@@ -352,14 +354,28 @@ def write_trace(stream: TextIO, values: Sequence[float]) -> None:
         stream.write("".join(f"{v!r}\n" for v in chunk))
 
 
-def read_trace(stream: TextIO) -> np.ndarray:
-    """Parse one magnitude per line; blank lines are skipped.
+def trace_chunks(stream: TextIO) -> Iterator[np.ndarray]:
+    """The trace's magnitudes, ``BLOCK`` lines at a time, each chunk parsed in one call;
+    a chunk this fails on, for a bad or a blank line, goes through ``_parse_lines``."""
+    line_no = 0
+    while lines := list(itertools.islice(stream, BLOCK)):
+        try:
+            values = np.array(list(map(float, lines)))
+            valid = 0.0 <= values.min() and values.max() < math.inf
+        except ValueError:
+            valid = False
+        yield values if valid else _parse_lines(lines, line_no)
+        line_no += len(lines)
 
-    A magnitude is finite and non-negative; any other line is rejected with
-    its line number.
+
+def _parse_lines(lines: list[str], line_no: int) -> np.ndarray:
+    """Parse one magnitude per line after ``line_no`` earlier lines; blank lines are skipped.
+
+    A magnitude is what ``float()`` takes from the stripped line, finite and
+    non-negative; any other line is rejected with its line number.
     """
     values = []
-    for line_no, line in enumerate(stream, 1):
+    for line_no, line in enumerate(lines, line_no + 1):
         text = line.strip()
         if not text:
             continue
@@ -373,6 +389,11 @@ def read_trace(stream: TextIO) -> np.ndarray:
             )
         values.append(value)
     return np.asarray(values, dtype=np.float64)
+
+
+def read_trace(stream: TextIO) -> np.ndarray:
+    """The whole trace of ``trace_chunks`` as one array."""
+    return np.concatenate([np.empty(0), *trace_chunks(stream)])
 
 
 def detect_trace(trace: np.ndarray, detector: Detector) -> list[DetectionEvent]:
@@ -405,10 +426,9 @@ def write_results_csv(stream: TextIO, rows: Iterable[dict]) -> None:
 
 
 def write_events_csv(stream: TextIO, events: Iterable[DetectionEvent]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(EVENTS_HEADER)
-    for ev in events:
-        writer.writerow([ev.period_index, ev.code_id, repr(float(ev.correlation))])
+    """The bytes ``csv.writer`` gives: no cell of an event needs quoting."""
+    rows = (f"{ev.period_index},{ev.code_id},{float(ev.correlation)!r}\n" for ev in events)
+    stream.write(",".join(EVENTS_HEADER) + "\n" + "".join(rows))
 
 
 def read_events_csv(stream: TextIO) -> list[DetectionEvent]:

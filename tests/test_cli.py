@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from srsbs.cli import main
+from srsbs.detector import BLOCK, Detector
+from srsbs.harness import ExperimentConfig, format_events, run_experiment, write_trace
 
 TESTS_DIR = Path(__file__).parent
 
@@ -254,6 +257,50 @@ class TestDetect:
         code, _, err = run_cli(["detect", "--trace", str(trace)], capsys)
         assert code == 2
         assert "line 2" in err
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """An outdoor tag-on trace a little over three detector blocks long."""
+    config = ExperimentConfig(scenario="outdoor", tag_code_id=7, messages=57, seed=3)
+    return run_experiment(config, keep_trace=True).trace
+
+
+class TestChunkedDetect:
+    """``detect`` reads its trace in chunks; its events are those of the whole trace."""
+
+    @pytest.mark.parametrize(
+        "lines, blank_every",
+        [(BLOCK - 1, 0), (BLOCK, 0), (BLOCK + 1, 0), (3 * BLOCK + 5, 0), (3 * BLOCK + 5, 997)],
+    )
+    def test_events_equal_whole_trace_detection(self, tmp_path, capsys, long_trace, lines, blank_every):
+        values = long_trace[: lines - (lines // blank_every if blank_every else 0)]
+        buf = io.StringIO()
+        write_trace(buf, values)
+        text = buf.getvalue().splitlines(keepends=True)
+        if blank_every:  # blank lines shift every later value across the chunk boundaries
+            for at in range(blank_every - 1, lines, blank_every):
+                text.insert(at, "\n")
+        assert len(text) == lines
+        trace = tmp_path / "trace.txt"
+        trace.write_text("".join(text))
+        expected = format_events(Detector().process_block(values), "csv")
+        assert expected.count("\n") > 1  # some events fire
+        code, out, err = run_cli(["detect", "--trace", str(trace)], capsys)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+    def test_bad_value_in_the_last_chunk_leaves_no_output(self, tmp_path, capsys, long_trace):
+        lines = [f"{value!r}\n" for value in long_trace[: 3 * BLOCK + 5].tolist()]
+        lines[3 * BLOCK + 1] = "nan\n"
+        trace = tmp_path / "trace.txt"
+        trace.write_text("".join(lines))
+        out_path = tmp_path / "events.csv"
+        code, out, err = run_cli(["detect", "--trace", str(trace), "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: trace line {3 * BLOCK + 2} is not a finite non-negative magnitude: 'nan'\n"
+        assert list(tmp_path.iterdir()) == [trace]
 
 
 class TestBaselineAndSweep:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from srsbs import detector as detector_module
 from srsbs.channel import ChannelConfig
 from srsbs.detector import (
+    BLOCK,
     DetectionEvent,
     Detector,
     DetectorConfig,
@@ -385,6 +386,64 @@ class TestFilesAndFormats:
         assert summary["detection_ci95"][0] <= 1.0 <= summary["detection_ci95"][1]
 
 
+NOT_A_NUMBER = "is not a number"
+NOT_A_MAGNITUDE = "is not a finite non-negative magnitude"
+
+
+class TestTraceGrammar:
+    """A trace line holds what ``float()`` takes once the line is stripped.
+
+    The reader parses ``BLOCK`` lines at a time, so bad lines sit on both
+    sides of the chunk boundaries and their numbers must stay the file's.
+    """
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1_0", 10.0), ("\u0661\u0662", 12.0), (" 0.5 ", 0.5), ("+0.5", 0.5),
+         (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), ("0.5\x1c", 0.5), ("-0.0", -0.0)],
+    )
+    def test_accepts_what_float_accepts(self, text, value):
+        trace = read_trace(io.StringIO(f"0.25\n\n{text}\n  \n0.75\n"))
+        assert trace.tolist() == [0.25, value, 0.75]
+
+    def test_crlf_endings_and_blank_lines_in_a_file(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"0.25\r\n\r\n0.5\r\n" * BLOCK)
+        with open(path) as fh:
+            assert read_trace(fh).tolist() == [0.25, 0.5] * BLOCK
+
+    @pytest.mark.parametrize("line_no", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1__0", NOT_A_NUMBER), ("0x10", NOT_A_NUMBER), ("0.1 0.2", NOT_A_NUMBER),
+         ("1,5", NOT_A_NUMBER), ("0.5\x1c0.2", NOT_A_NUMBER), ("nan", NOT_A_MAGNITUDE),
+         ("inf", NOT_A_MAGNITUDE), ("-0.3", NOT_A_MAGNITUDE)],
+    )
+    def test_rejects_with_the_file_line_number(self, text, message, line_no):
+        lines = ["0.25\n"] * (2 * BLOCK + 10)
+        lines[2] = "\n"  # a blank line counts toward the line numbers
+        lines[line_no - 1] = f"{text}\n"
+        with pytest.raises(ValueError) as info:
+            read_trace(io.StringIO("".join(lines)))
+        assert str(info.value) == f"trace line {line_no} {message}: {text!r}"
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=16
+        ),
+        length=st.integers(min_value=BLOCK - 2, max_value=2 * BLOCK + 2),
+    )
+    @example(values=[0.3], length=BLOCK)
+    @example(values=[5e-324, 1.7976931348623157e308], length=BLOCK + 1)
+    @settings(max_examples=20, deadline=None)
+    def test_write_read_round_trip_across_chunks(self, values, length):
+        trace = np.resize(np.array(values), length)
+        buf = io.StringIO()
+        write_trace(buf, trace)
+        buf.seek(0)
+        assert read_trace(buf).tobytes() == trace.tobytes()
+
+
 class TestDetectTrace:
     def test_matches_in_memory_events(self):
         cfg = quick_config(messages=3)
@@ -562,6 +621,33 @@ class TestBlockKernel:
         assert len({frozenset(events) for events in outcomes.values()}) == 3
         got = Detector(detector_cfg, filter_cfg).process_block(trace)
         assert _tuples(got) == _tuples(expected)
+
+    def test_theta_a_hair_under_a_correlation(self, gold_set, monkeypatch):
+        """Theta 1e-12 under a window's exact best correlation: only the screen's slack keeps it.
+
+        The code is keyed 1e-5 deep after a step of 0.2, so the screen's chip
+        sums cancel badly and round some windows' correlations down by more
+        than 1e-12. Screening without slack finds such a window; with its
+        slack the kernel must still give that window's event.
+        """
+        chips = encode_repetition(gold_set.code(7), 7) > 0
+        trace = np.concatenate([np.full(300, 0.5), np.where(np.tile(chips, 2), 0.3 + 1e-5, 0.3)])
+        filter_cfg = FilterConfig(enable_hard=False, enable_median=False, enable_sd=False)
+        events = _per_sample(trace, Detector(DetectorConfig(code_set=gold_set, theta=0.1), filter_cfg))
+
+        def under(event):
+            return DetectorConfig(code_set=gold_set, theta=event.correlation - 1e-12)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(detector_module, "SCREEN_MARGIN", 0.0)
+            edge = next(
+                (ev for ev in events if ev not in Detector(under(ev), filter_cfg).process_block(trace)),
+                None,
+            )
+        assert edge is not None, "no window that the screen rounds below theta"
+        expected = _per_sample(trace, Detector(under(edge), filter_cfg))
+        assert edge in expected
+        assert _tuples(Detector(under(edge), filter_cfg).process_block(trace)) == _tuples(expected)
 
     @pytest.mark.parametrize("event", [0, 40])
     @pytest.mark.parametrize("below", [False, True])
