@@ -3,17 +3,18 @@
 
     python scripts/bench_pairs.py --change "what the change does" \\
         --pairs detect_outdoor_trace=1,2,3,4,5,6 --pairs baseline_indoor_long=2,3 \\
-        [--against HEAD] [--seconds 30] [--series N]
+        [--against HEAD]
 
 Copies the files of a git revision (default HEAD, the parent) and of the
 working tree into sibling temporary directories and runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` from each,
-one run at a time. Each (workload, seed) is one pair; pair i runs the parent
-first when i is even and the change first when it is odd. After every run it
-rewrites ``BENCH_<N>.json`` at the repository root (N defaults to one past the
-highest existing series) with each side's median and quartiles per metric,
-how many pairs the change won, and every run's detail record. The exit code
-is 1 when any run failed or gave a wrong output, else 0.
+one run at a time, with T the benchmark's ``run_seconds``. Each (workload,
+seed) is one pair; pair i runs the parent first when i is even and the change
+first when it is odd. After every run it rewrites ``BENCH_<N>.json`` at the
+repository root (N one past the highest existing series) with each side's
+median and quartiles per metric, how many pairs the change won, and every
+run's detail record. The exit code is 1 when any run failed or gave a wrong
+output, else 0.
 """
 
 import argparse
@@ -32,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SIDES = ("parent", "change")
-COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0"
+SECONDS = BENCHMARK["run_seconds"]
+COMMAND = f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS:g} --trace 0"
 METHOD = (
     "parent and change run from sibling copies of their files, one run at a time, "
     "alternating which side runs first in each pair; us_per_period and setup_s are "
@@ -65,13 +67,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="a workload and the seeds of its pairs; repeat for more workloads",
     )
     parser.add_argument("--against", default="HEAD", help="the parent revision")
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
-    parser.add_argument("--series", type=int, default=None, help="N of BENCH_<N>.json")
     args = parser.parse_args(argv)
-    if args.seconds <= 0:
-        parser.error(f"--seconds must be positive, got {args.seconds:g}")
-    if args.series is None:
-        args.series = next_series()
+    args.series = next_series()
     return args
 
 
@@ -126,7 +123,7 @@ def document(args: argparse.Namespace, parent_commit: str, runs: list[dict]) -> 
         "series": args.series,
         "change": args.change,
         "parent_commit": parent_commit,
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND,
         "method": METHOD,
         "environment": environment,
         "summary": summarize(runs),
@@ -175,10 +172,10 @@ def copy_tree(revision: str | None, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def benchmark(checkout: Path, name: str, seed: int, seconds: float) -> tuple[int, dict | None]:
+def benchmark(checkout: Path, name: str, seed: int) -> tuple[int, dict | None]:
     command = [
         sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(SECONDS), "--trace", "0",
     ]
     proc = subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL)
     detail = checkout / ".perfbench_out" / f"{name}-seed{seed}-trace0.json"
@@ -200,7 +197,7 @@ def main(argv=None) -> int:
         copy_tree(None, checkouts["change"])
 
         def run(side, name, seed):
-            exit_code, record = benchmark(checkouts[side], name, seed, args.seconds)
+            exit_code, record = benchmark(checkouts[side], name, seed)
             print(f"{side:6s} {name} seed={seed}: exit {exit_code}", flush=True)
             return exit_code, record
 

@@ -22,9 +22,10 @@ import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from bench_pairs import copy_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -83,12 +84,7 @@ def main(argv=None) -> int:
     pinned = json.loads((GOLDEN / "digests.json").read_text())
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", args.against, "src"],
-            capture_output=True, check=True,
-        ).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "old", filter="data")
+        copy_tree(args.against, tmp / "old")
         run_side(tmp / "old" / "src", tmp / "old_out")
         new = run_side(ROOT / "src", tmp / "new_out")
 
