@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import __version__
 from ._config import check_fields, dump, keys, load
@@ -114,6 +113,8 @@ class ExperimentConfig:
         check_fields(self)
         if self.messages < 1:
             raise ValueError(f"messages must be >= 1, got {self.messages}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.scenario, str):
             get_preset(self.scenario)  # raises on unknown name
         elif not isinstance(self.scenario, ChannelConfig):
@@ -181,6 +182,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
     """Exact binomial confidence interval."""
+    from scipy.special import betaincinv  # the only scipy use; detect never loads it
+
     if trials == 0:
         return (0.0, 1.0)
     alpha = 1.0 - confidence
@@ -263,7 +266,7 @@ def _count_metrics(
 def run_experiment(config: ExperimentConfig, keep_trace: bool = False) -> Metrics:
     """Simulate R message transmissions and count per-window outcomes.
 
-    The whole magnitude trace is simulated first, then detected; the
+    The whole magnitude trace is simulated first, checked finite, then detected; the
     detector is built before the first period so a config it rejects fails
     fast. ``keep_trace`` attaches the trace to the returned metrics.
     """
@@ -279,7 +282,11 @@ def run_experiment(config: ExperimentConfig, keep_trace: bool = False) -> Metric
     pilot = make_srs_symbol(config.zc)
     n = config.messages * config.detector.window_length
     b = np.resize(message > 0, n) if config.tag_enabled else np.zeros(n)
-    trace = received_magnitudes(pilot, b, config.channel_config(), config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        trace = received_magnitudes(pilot, b, config.channel_config(), config.seed)
+    if not np.isfinite(trace).all():
+        raise ValueError(f"scenario {config.scenario_name()!r} gives a non-finite trace "
+                         f"(overflow): {config.channel_config()}")
     events = detect_trace(trace, detector)
     return _count_metrics(events, config, trace if keep_trace else None)
 

@@ -184,6 +184,10 @@ class TestSimulate:
             ('{"messages": 2}', ["sweep", "--param", "seed", "--values", "1"]),
             ('{"zc": {"base_length": 2305843009213693951}}', ["simulate"]),
             ('{"filter": {"x": 1}}', ["simulate"]),
+            ('{"scenario": {"modulation_depth": 1e308, "noise_sigma": 0.1}, "messages": 2}',
+             ["simulate"]),
+            ('{"scenario": {"noise_sigma": 0.1}, "messages": 2}',
+             ["sweep", "--param", "modulation_depth", "--values", "0.05,1e308"]),
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc, argv):
@@ -209,6 +213,19 @@ class TestSeedPrecedence:
             ["simulate", "--config", str(cfg), "--seed", "123"], capsys
         )
         assert out.strip().splitlines()[1].split(",")[-1] == "123"
+
+    @pytest.mark.parametrize("where", ["flag", "env", "file"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, where):
+        cfg = write_config(tmp_path, **({"seed": -1} if where == "file" else {}))
+        argv = ["simulate", "--config", str(cfg)]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        if where == "env":
+            monkeypatch.setenv("SRSBS_SEED", "-1")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
 
     def test_bad_env_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)

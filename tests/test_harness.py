@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srsbs import channel as channel_module
 from srsbs import detector as detector_module
 from srsbs.channel import ChannelConfig
 from srsbs.detector import (
@@ -100,6 +101,16 @@ class TestRunExperiment:
     def test_invalid_code_id_rejected(self):
         with pytest.raises(ValueError, match="tag_code_id"):
             run_experiment(quick_config(tag_code_id=40))
+
+    @pytest.mark.filterwarnings("error")  # and without numpy's overflow warning
+    @pytest.mark.parametrize("name", ["loud", "custom"])
+    def test_overflowing_channel_rejected(self, monkeypatch, name):
+        # squaring a received sample of ~3e307 overflows to inf
+        channel = ChannelConfig(modulation_depth=1e308, noise_sigma=0.1)
+        monkeypatch.setitem(channel_module.PRESETS, "loud", channel)
+        config = quick_config(scenario="loud" if name == "loud" else channel, messages=1)
+        with pytest.raises(ValueError, match=f"scenario '{name}' gives a non-finite trace"):
+            run_experiment(config)
 
     def test_simulated_seconds(self):
         metrics = run_experiment(quick_config(messages=2))
@@ -237,16 +248,36 @@ class TestSeedsAndIntervals:
             hi = np.where(k == n, 1.0, stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
             assert [clopper_pearson(int(i), n) for i in k] == list(zip(lo, hi)), n
 
-    def test_import_leaves_scipy_stats_out(self):
+    @staticmethod
+    def scipy_loaded_after(tmp_path, argv) -> list[bool]:
+        """In a fresh interpreter: is any scipy module loaded after ``import
+        srsbs.harness``, and then after ``cli.main(argv)``?"""
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        script = (
+            "import sys, srsbs.harness, srsbs.cli\n"
+            "def scipy(): return any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print(scipy())\n"
+            f"assert srsbs.cli.main({argv!r}) == 0\n"
+            "print(scipy())\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, srsbs.harness; print('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", script],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return [line == "True" for line in proc.stdout.split()]
+
+    def test_import_leaves_scipy_stats_out(self, tmp_path):
+        trace = Path(__file__).resolve().parent / "golden" / "short_trace.txt"
+        argv = ["detect", "--trace", str(trace), "--out", "events.csv"]
+        assert self.scipy_loaded_after(tmp_path, argv) == [False, False]
+        assert (tmp_path / "events.csv").read_text().count("\n") > 1
+
+    def test_confidence_intervals_load_scipy(self, tmp_path):
+        argv = ["simulate", "--messages", "2", "--out", "results.csv"]
+        assert self.scipy_loaded_after(tmp_path, argv) == [False, True]
 
 
 class TestDedup:
