@@ -181,16 +181,64 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
-    """Exact binomial confidence interval."""
-    from scipy.special import betaincinv  # the only scipy use; detect never loads it
+    """Exact binomial confidence interval (Clopper & Pearson 1934).
 
-    if trials == 0:
-        return (0.0, 1.0)
-    alpha = 1.0 - confidence
+    Each bound is the p at which a binomial tail of the observed count equals
+    (1 - confidence) / 2: P(Bin(n, p) >= k) at the lower bound and
+    P(Bin(n, p) <= k) at the upper one. k = 0 and k = n have closed forms.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in 0..{trials}, got {successes}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     k, n = successes, trials
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
+    if n == 0:
+        return (0.0, 1.0)
+    tail = (1.0 - confidence) / 2
+    root = math.log(tail) / n
+    lo = 0.0 if k == 0 else math.exp(root) if k == n else _upper_tail_root(k, n, tail)
+    hi = 1.0 if k == n else -math.expm1(root) if k == 0 else 1.0 - _upper_tail_root(n - k, n, tail)
     return (lo, hi)
+
+
+def _upper_tail_root(k: int, n: int, tail: float) -> float:
+    """The p with P(Bin(n, p) >= k) = tail, for 0 < k < n and tail < 1/2.
+
+    Newton's method in u = log p on log P, which rises and is concave in u,
+    with d log P / du = k P(X = k) / P. It starts from the root of the union
+    bound C(n, k) p^k >= P, which lies left of the root, keeps a bisection
+    bracket and stops once a step is within the rounding noise of log P.
+    """
+    log_comb = math.log(math.comb(n, k))  # exact; lgamma costs up to 8e-13 relative at n = 1000
+    log_tail = math.log(tail)
+    u = (log_tail - log_comb) / k
+    left, right = -math.inf, 0.0
+    for _ in range(100):
+        p, q = math.exp(u), -math.expm1(u)
+        odds, log_q = p / q, math.log(q)
+        # P / P(X = k), summed term by term from j = k while the terms still count
+        ratio_sum = term = 1.0
+        for j in range(k, n):
+            term *= (n - j) / (j + 1) * odds
+            ratio_sum += term
+            if term < ratio_sum * 1e-17:
+                break
+        error = log_comb + k * u + (n - k) * log_q + math.log(ratio_sum) - log_tail
+        step = error * ratio_sum / k
+        # two ulps of each summand of log P, carried through the step
+        noise = 2.0**-51 * (log_comb - k * u - (n - k) * log_q - log_tail) * ratio_sum / k
+        if abs(step) <= noise:
+            break
+        if error < 0:
+            left = u
+        else:
+            right = u
+        u -= step
+        if not left < u < right:
+            u = (left + right) / 2
+    return math.exp(u)
 
 
 def dedup_events(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestSeedsAndIntervals:
         assert lo == pytest.approx(0.98780, abs=2e-4)
         assert clopper_pearson(0, 0) == (0.0, 1.0)
 
-    def test_clopper_pearson_matches_beta_quantiles(self):
+    def test_clopper_pearson_near_beta_quantiles(self):
         from scipy import stats
 
         alpha = 1.0 - 0.95
@@ -246,7 +247,47 @@ class TestSeedsAndIntervals:
             k = np.arange(n + 1)
             lo = np.where(k == 0, 0.0, stats.beta.ppf(alpha / 2, k, n - k + 1))
             hi = np.where(k == n, 1.0, stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
-            assert [clopper_pearson(int(i), n) for i in k] == list(zip(lo, hi)), n
+            got = np.array([clopper_pearson(int(i), n) for i in k])
+            np.testing.assert_allclose(got[:, 0], lo, rtol=1e-12, atol=0, err_msg=f"n={n}")
+            np.testing.assert_allclose(got[:, 1], hi, rtol=1e-12, atol=0, err_msg=f"n={n}")
+
+    @staticmethod
+    def exact_tail(n: int, p: float, ks: range) -> Fraction:
+        """P(Bin(n, p) in ks), exactly, for the float p."""
+        p = Fraction(p)
+        a, b = p.numerator, p.denominator
+        return Fraction(sum(math.comb(n, j) * a**j * (b - a) ** (n - j) for j in ks), b**n)
+
+    def test_clopper_pearson_brackets_exact_tails(self):
+        tail = Fraction(1.0 - 0.95) / 2
+        for n in range(1, 41):
+            for k in range(n + 1):
+                lo, hi = clopper_pearson(k, n)
+                if k > 0:
+                    at_least = range(k, n + 1)
+                    assert self.exact_tail(n, lo * (1 - 1e-12), at_least) < tail, (k, n)
+                    assert self.exact_tail(n, lo * (1 + 1e-12), at_least) > tail, (k, n)
+                if k < n:
+                    at_most = range(k + 1)
+                    assert self.exact_tail(n, hi * (1 - 1e-12), at_most) > tail, (k, n)
+                    assert self.exact_tail(n, hi * (1 + 1e-12), at_most) < tail, (k, n)
+
+    @pytest.mark.parametrize(
+        "successes, trials, confidence, message",
+        [
+            (6, 5, 0.95, "successes must be in 0..5, got 6"),
+            (-1, 5, 0.95, "successes must be in 0..5, got -1"),
+            (2, -3, 0.95, "trials must be >= 0, got -3"),
+            (0, 0, 1.5, "confidence must be in (0, 1), got 1.5"),
+            (2, 5, 1.0, "confidence must be in (0, 1), got 1.0"),
+            (2, 5, 0.0, "confidence must be in (0, 1), got 0.0"),
+            (2, 5, math.nan, "confidence must be in (0, 1), got nan"),
+        ],
+    )
+    def test_clopper_pearson_rejects_impossible_counts(self, successes, trials, confidence, message):
+        with pytest.raises(ValueError) as excinfo:
+            clopper_pearson(successes, trials, confidence)
+        assert str(excinfo.value) == message
 
     @staticmethod
     def scipy_loaded_after(tmp_path, argv) -> list[bool]:
@@ -275,9 +316,20 @@ class TestSeedsAndIntervals:
         assert self.scipy_loaded_after(tmp_path, argv) == [False, False]
         assert (tmp_path / "events.csv").read_text().count("\n") > 1
 
-    def test_confidence_intervals_load_scipy(self, tmp_path):
-        argv = ["simulate", "--messages", "2", "--out", "results.csv"]
-        assert self.scipy_loaded_after(tmp_path, argv) == [False, True]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--messages", "2", "--out", "results.csv"],
+            ["baseline", "--messages", "2", "--out", "results.csv"],
+            ["sweep", "--messages", "2", "--param", "modulation_depth", "--values", "0.3,0.001",
+             "--out", "results.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_leave_scipy_out(self, tmp_path, argv):
+        """The interval commands; ``detect`` is the test above."""
+        assert self.scipy_loaded_after(tmp_path, argv) == [False, False]
+        assert (tmp_path / "results.csv").read_text().count("\n") > 1
 
 
 class TestDedup:
