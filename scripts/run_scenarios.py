@@ -28,16 +28,22 @@ def main(argv=None):
     parser.add_argument("--out", help="write rows as CSV here")
     args = parser.parse_args(argv)
 
+    runs = []
+    try:
+        for name in PRESETS:
+            config = ExperimentConfig(
+                scenario=name,
+                tag_code_id=args.code,
+                messages=args.messages,
+                seed=args.seed,
+            )
+            runs.append((name, config, *run_phases(config, keep_trace=False)))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     print(f"{'scenario':<14}{'detection':>12}{'false alarm':>14}{'cross fa':>12}")
-    for name in PRESETS:
-        config = ExperimentConfig(
-            scenario=name,
-            tag_code_id=args.code,
-            messages=args.messages,
-            seed=args.seed,
-        )
-        off, on = run_phases(config, keep_trace=False)
+    for name, config, off, on in runs:
         summary = metrics_summary(on)
         lo, hi = summary["detection_ci95"]
         print(

@@ -13,11 +13,10 @@ compares two quantities that scale together, and Pearson is affine-invariant.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._config import check_fields
 from .tag import CODE_LENGTH, REPEATS, GoldCodeSet, generate_gold_set
@@ -31,12 +30,6 @@ BLOCK = 4096
 # Correlation slack the kernel's screen keeps below theta, scaled up for
 # windows whose spread is small next to the block's; see ``_correlate_block``.
 SCREEN_MARGIN = 1e-9
-# Relative distance to the SD filter's bound within which the kernel redoes
-# the deviation test with ``sd_filter``'s scalar arithmetic.
-SD_RECHECK = 1e-12
-# ``sum`` adds floats left to right before CPython 3.12 and compensates the
-# rounding from 3.12 on; the kernel's SD stage reproduces only the former.
-_LEFT_TO_RIGHT_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 @dataclass(frozen=True)
@@ -108,8 +101,9 @@ class DetectorState:
     """Streaming state for one amplitude stream; strictly sequential."""
 
     last_valid: float | None = None
-    median_buffer: deque = field(default_factory=deque)
-    sd_buffer: deque = field(default_factory=deque)
+    # the last inputs of the median and SD stages, at most one window each
+    median_buffer: np.ndarray = field(default_factory=lambda: np.empty(0))
+    sd_buffer: np.ndarray = field(default_factory=lambda: np.empty(0))
     correlation_window: np.ndarray | None = None
     window_fill: int = 0
     period_counter: int = 0
@@ -122,66 +116,18 @@ def average_magnitude(values: np.ndarray) -> float:
 
 
 def hard_threshold(a: float, state: DetectorState, config: FilterConfig) -> float:
-    """Amplitude validity gate.
-
-    Samples above ``alpha``, and NaN, are replaced with the most recent
-    sample that passed the gate (the first sample is always accepted to seed
-    the state).
-    """
-    if state.last_valid is None:
-        state.last_valid = a
-        return a
-    if not a <= config.alpha:
-        return state.last_valid
-    state.last_valid = a
-    return a
+    """Amplitude validity gate for one sample (see ``_gate_block``)."""
+    return float(_gate_block(np.array([a], dtype=np.float64), state, config)[0])
 
 
 def median_filter(a_prime: float, state: DetectorState, config: FilterConfig) -> float:
-    """Sliding median; warm-up uses the available prefix.
-
-    Even-sized prefixes average the two central order statistics.
-    """
-    buf = state.median_buffer
-    buf.append(a_prime)
-    if len(buf) > config.median_window:
-        buf.popleft()
-    ordered = sorted(buf)
-    m = len(ordered)
-    if m % 2:
-        return ordered[m // 2]
-    return 0.5 * (ordered[m // 2 - 1] + ordered[m // 2])
+    """Sliding median for one sample (see ``_median_block``)."""
+    return float(_median_block(np.array([a_prime], dtype=np.float64), state, config)[0])
 
 
 def sd_filter(d: float, state: DetectorState, config: FilterConfig) -> float:
-    """Standard-deviation outlier filter over the last ``sd_window`` inputs.
-
-    The incoming sample is an outlier when it deviates from the window mean
-    by more than ``deviation_factor`` window standard deviations; it is then
-    replaced by the window mean (or the previous output, if configured).
-    """
-    buf = state.sd_buffer
-    buf.append(d)
-    if len(buf) > config.sd_window:
-        buf.popleft()
-    mean, sigma = _window_moments(buf)
-    if abs(d - mean) > config.deviation_factor * sigma:
-        if config.sd_replacement == SD_REPLACE_MEAN:
-            y = mean
-        else:
-            y = state.previous_output if state.previous_output is not None else d
-    else:
-        y = d
-    state.previous_output = y
-    return y
-
-
-def _window_moments(window) -> tuple[float, float]:
-    """Mean and population standard deviation of a window of floats."""
-    m = len(window)
-    mean = sum(window) / m
-    var = sum((x - mean) ** 2 for x in window) / m
-    return mean, var**0.5
+    """Standard-deviation outlier filter for one sample (see ``_sd_block``)."""
+    return float(_sd_block(np.array([d], dtype=np.float64), state, config)[0])
 
 
 def _forward_fill(prior: float, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -192,7 +138,12 @@ def _forward_fill(prior: float, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _gate_block(x: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
-    """``hard_threshold`` over a block: a forward fill of the last accepted sample."""
+    """Amplitude validity gate over a block.
+
+    Samples above ``alpha``, and NaN, are replaced with the most recent
+    sample that passed the gate; the stream's first sample is always
+    accepted to seed the state.
+    """
     accept = x <= config.alpha
     if state.last_valid is None:
         accept[0] = True
@@ -201,8 +152,26 @@ def _gate_block(x: np.ndarray, state: DetectorState, config: FilterConfig) -> np
     return out
 
 
+def _sliding(x: np.ndarray, buffer: np.ndarray, width: int, reduce):
+    """``reduce`` over each sample's window of the last ``width`` inputs, and the new buffer.
+
+    ``buffer`` holds the inputs before ``x``; until ``width`` inputs have come,
+    a window is the shorter prefix. ``reduce`` maps a ``(k, m)`` stack of
+    windows to an array with one value per window along its last axis.
+    """
+    p = buffer.size
+    history = np.concatenate((buffer, x))
+    warm = min(max(width - 1 - p, 0), x.size)  # samples whose window is a shorter prefix
+    parts = [reduce(history[None, : p + k + 1]) for k in range(warm)]
+    if warm < x.size:
+        step = history.strides[0]  # as_strided: a third of sliding_window_view's per-call cost
+        windows = as_strided(history[p + warm + 1 - width :], (x.size - warm, width), (step, step))
+        parts.append(reduce(windows))
+    return np.concatenate(parts, axis=-1), history[-width:].copy()
+
+
 def _middle(ordered: np.ndarray) -> np.ndarray:
-    """Median of windows sorted along the last axis, as ``median_filter`` takes it."""
+    """Median of windows sorted along the last axis; an even count averages the central two."""
     m = ordered.shape[-1]
     if m % 2:
         return ordered[..., m // 2]
@@ -210,76 +179,45 @@ def _middle(ordered: np.ndarray) -> np.ndarray:
 
 
 def _median_block(x: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
-    """``median_filter`` over a block: sorted sliding windows after the warm-up prefix."""
-    w = config.median_window
-    p = len(state.median_buffer)
-    history = np.concatenate((np.array(state.median_buffer, dtype=np.float64), x))
-    warm = min(max(w - 1 - p, 0), x.size)  # samples whose window is a shorter prefix
-    out = np.empty(x.size)
-    for k in range(warm):
-        out[k] = _middle(np.sort(history[: p + k + 1]))
-    if warm < x.size:
-        windows = sliding_window_view(history, w)[p + warm + 1 - w :]
-        out[warm:] = _middle(np.sort(windows, axis=1))
-    state.median_buffer = deque(history[-w:].tolist())
+    """Sliding median of the last ``median_window`` inputs; ``np.sort`` puts NaN last."""
+    out, state.median_buffer = _sliding(
+        x, state.median_buffer, config.median_window, lambda w: _middle(np.sort(w, axis=1))
+    )
     return out
 
 
-def _moments(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation of each row, summed left to right as ``sum`` does.
+def _moments(windows: np.ndarray) -> np.ndarray:
+    """Mean and population standard deviation of each row, summed left to right.
 
-    The mean is the one ``_window_moments`` gives on CPython before 3.12;
-    the deviation may differ from it in the last bit (``**`` against
-    numpy's square and square root).
+    This fixed order is the SD filter's arithmetic, the same for every block
+    size; the benchmark's reference detector (``perfbench/synth.py``) sums in
+    the same order. ``sum`` adds the columns as arrays, one after another (its
+    compensated float summation does not apply to arrays).
     """
     width = windows.shape[1]
-    total = np.zeros(len(windows))
-    for j in range(width):
-        total += windows[:, j]
-    mean = total / width
-    squares = np.zeros(len(windows))
-    for j in range(width):
-        deviation = windows[:, j] - mean
-        squares += deviation * deviation
-    return mean, np.sqrt(squares / width)
+    mean = sum(windows.T) / width
+    deviation = windows.T - mean
+    return np.array((mean, np.sqrt(sum(deviation * deviation) / width)))
 
 
 def _sd_block(d: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
-    """``sd_filter`` over a block.
+    """Standard-deviation outlier filter over the last ``sd_window`` inputs.
 
-    A sample whose deviation lies within ``SD_RECHECK`` of the bound is
-    tested again with ``_window_moments``, so every decision is
-    ``sd_filter``'s. Where ``sum`` compensates rounding, which ``_moments``
-    does not reproduce, the block runs sample by sample.
+    The incoming sample is an outlier when it deviates from its window's
+    mean by more than ``deviation_factor`` window standard deviations. It
+    is then replaced by the window mean, or by the previous output if so
+    configured; the stream's first sample, with no previous output, is kept.
     """
-    if not _LEFT_TO_RIGHT_SUM:
-        return np.array([sd_filter(value, state, config) for value in d.tolist()])
-    s = config.sd_window
-    p = len(state.sd_buffer)
-    history = np.concatenate((np.array(state.sd_buffer, dtype=np.float64), d))
-    warm = min(max(s - 1 - p, 0), d.size)  # samples whose window is a shorter prefix
-    mean = np.empty(d.size)
-    sigma = np.empty(d.size)
-    for k in range(warm):
-        mean[k : k + 1], sigma[k : k + 1] = _moments(history[None, : p + k + 1])
-    if warm < d.size:
-        mean[warm:], sigma[warm:] = _moments(sliding_window_view(history, s)[p + warm + 1 - s :])
-    deviation = np.abs(d - mean)
+    (mean, sigma), state.sd_buffer = _sliding(d, state.sd_buffer, config.sd_window, _moments)
     with np.errstate(invalid="ignore"):  # inf * 0 when the factor is inf
-        bound = config.deviation_factor * sigma
-    outlier = deviation > bound
-    for k in np.flatnonzero(np.abs(deviation - bound) < SD_RECHECK * bound):
-        window = history[max(0, p + k + 1 - s) : p + k + 1].tolist()
-        mean_k, sigma_k = _window_moments(window)
-        outlier[k] = abs(window[-1] - mean_k) > config.deviation_factor * sigma_k
+        outlier = np.abs(d - mean) > config.deviation_factor * sigma
     if config.sd_replacement == SD_REPLACE_MEAN:
         out = np.where(outlier, mean, d)
     else:
         if state.previous_output is None:
-            outlier[0] = False  # sd_filter keeps the sample when nothing came before
+            outlier[0] = False
         prior = 0.0 if state.previous_output is None else state.previous_output
         out = _forward_fill(prior, d, ~outlier)
-    state.sd_buffer = deque(history[-s:].tolist())
     state.previous_output = float(out[-1])
     return out
 
@@ -343,12 +281,12 @@ class Detector:
             raise ValueError("constant code template cannot be correlated")
         # each template is constant over a chip: one value per chip suffices
         self._chip_templates = np.ascontiguousarray((centered / norms)[:, :: self.config.v])
-        self.state = DetectorState(
-            correlation_window=np.zeros(self.config.window_length)
-        )
+        self.state = DetectorState(correlation_window=np.zeros(self.config.window_length))
 
     def process(self, a: float) -> DetectionEvent | None:
         """Full pipeline for one period: gate, median, SD filter, correlate."""
+        # one-sample calls of the block kernel's stages, through the names that
+        # the benchmark's tracer wraps to time each layer (ROADMAP item 1)
         x = float(a)
         if self.filter.enable_hard:
             x = hard_threshold(x, self.state, self.filter)
@@ -363,9 +301,8 @@ class Detector:
 
         Works through ``values`` ``BLOCK`` periods at a time with the same
         gate, median, SD filter and correlator, reading and writing the same
-        state as ``process``, so the two may be interleaved on one detector.
-        Events match ``process`` bit for bit on finite magnitudes; NaN sorts
-        differently in the median here than in ``sorted``.
+        state as ``process``, so the two may be interleaved on one detector
+        and give the same events bit for bit.
         """
         values = np.asarray(values, dtype=np.float64)
         events: list[DetectionEvent] = []
@@ -392,11 +329,10 @@ class Detector:
         ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. The screen compares
         the unscaled product with that bound times ``sqrt(norm2)``; the
         multiply and the root move the bound by a few ulp, far inside the
-        1e-9 of slack. The other windows go
-        to ``_correlations`` in one stack, which gives each row the bits of
-        a one-row call, so events, ties and correlations are
-        ``detect_step``'s bit for bit. Windows of one repeated value share
-        an outcome, so the stack holds one of them per value.
+        1e-9 of slack. The other windows go to ``_correlations`` in one
+        stack, which gives each row the bits of a one-row call, so events,
+        ties and correlations are ``detect_step``'s bit for bit. Windows of
+        one repeated value share an outcome, so the stack holds one per value.
         """
         state = self.state
         length, v = self.config.window_length, self.config.v

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from srsbs import channel as channel_module
 from srsbs import detector as detector_module
@@ -23,8 +25,6 @@ from srsbs.detector import (
     DetectorConfig,
     DetectorState,
     FilterConfig,
-    hard_threshold,
-    median_filter,
 )
 from srsbs.harness import (
     CodeConfig,
@@ -53,6 +53,7 @@ from srsbs.srs import ZcConfig
 from srsbs.tag import encode_repetition
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def quick_config(**kwargs):
@@ -588,6 +589,36 @@ def kernel_traces():
     return traces
 
 
+def _sd_ties(medians, factor, width):
+    """Periods whose deviation lies exactly on the SD bound of a full window that is not flat."""
+    windows = sliding_window_view(medians, width)
+    mean, sigma = windows.mean(axis=1), windows.std(axis=1)
+    near = np.abs(np.abs(windows[:, -1] - mean) - factor * sigma) <= 1e-9 * factor * sigma
+    ties = []
+    for k in np.flatnonzero(near & (sigma > 0)):
+        window = [Fraction(value) for value in windows[k].tolist()]
+        centre = sum(window) / width
+        variance = sum((value - centre) ** 2 for value in window) / width
+        if (window[-1] - centre) ** 2 == Fraction(factor) ** 2 * variance:
+            ties.append(int(k) + width - 1)
+    return ties
+
+
+@pytest.fixture(scope="module")
+def synth():
+    """The benchmark's seeded input and independent reference detector."""
+    spec = importlib.util.spec_from_file_location("synth", PERFBENCH / "synth.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def outdoor_traces(synth, gold_set):
+    """The benchmark's 300-message outdoor traces on seeds with SD ties at factor 0.5."""
+    return {seed: synth.outdoor_trace(seed, 300, gold_set.codes[7]) for seed in (0, 1, 4, 5)}
+
+
 class TestBlockKernel:
     """``Detector.process_block`` gives the events of per-sample ``process``, bit for bit."""
 
@@ -611,54 +642,53 @@ class TestBlockKernel:
             got = Detector(detector_cfg, filter_cfg).process_block(trace)
             assert _tuples(got) == _tuples(expected), name
 
-    def test_sample_by_sample_sd_stage(self, kernel_traces, gold_set, monkeypatch):
-        """Where ``sum`` compensates rounding the SD stage runs per sample: same events."""
-        monkeypatch.setattr(detector_module, "_LEFT_TO_RIGHT_SUM", False)
-        config = DetectorConfig(code_set=gold_set)
-        for name, trace in kernel_traces.items():
-            expected = _per_sample(trace, Detector(config))
-            assert _tuples(Detector(config).process_block(trace)) == _tuples(expected), name
-
-    def test_deviation_factor_on_an_sd_bound(self, gold_set):
-        """An SD decision that the kernel's rounding alone would flip.
-
-        The kernel's window deviation (products and ``sqrt``) differs in the
-        last bit from ``sd_filter``'s (``** 2`` and ``** 0.5``) at some
-        samples. The test looks for a sample and a deviation factor where
-        the two give different decisions; only ``sd_filter``'s own
-        arithmetic then gives ``process``'s answer. The trace ends at that
-        sample and theta is low, so the last window fires and its
-        correlation shows the filter's output there.
-        """
-        trace = np.random.default_rng(0).normal(0.3, 0.02, 4000)
-        state, config = DetectorState(), FilterConfig()
-        medians = [median_filter(hard_threshold(float(a), state, config), state, config) for a in trace]
-        found = None
-        for k in range(len(trace) // 4, len(trace)):
-            window = medians[k - config.sd_window + 1 : k + 1]
-            mean = sum(window) / len(window)
-            exact = (sum((x - mean) ** 2 for x in window) / len(window)) ** 0.5
-            product = math.sqrt(sum((x - mean) * (x - mean) for x in window) / len(window))
-            deviation = abs(medians[k] - mean)
-            if exact == product:
-                continue
-            factor = math.nextafter(deviation / exact, 0.0)
-            for _ in range(8):
-                if (deviation > factor * exact) != (deviation > factor * product):
-                    found = k, factor
-                    break
-                factor = math.nextafter(factor, 1.0)
-            if found:
-                break
-        assert found, "no decision where the two roundings differ"
-        k, factor = found
-        trace = trace[: k + 1]
-        detector_cfg = DetectorConfig(code_set=gold_set, theta=1e-3)
-        filter_cfg = FilterConfig(deviation_factor=factor)
+    def test_nan_without_the_gate(self, gold_set):
+        """NaN that no gate replaces sorts last in every median window, per sample or per block."""
+        rng = np.random.default_rng(0)
+        bits = np.resize(encode_repetition(gold_set.code(5), 7), 651)
+        trace = 0.3 * (1.0 + 0.05 * (bits > 0)) + rng.normal(0, 0.0005, bits.size)
+        trace[[100, 300, 500]] = np.nan
+        detector_cfg = DetectorConfig(code_set=gold_set, theta=0.1)
+        filter_cfg = FilterConfig(enable_hard=False)
         expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
-        assert expected[-1].period_index == k
-        got = Detector(detector_cfg, filter_cfg).process_block(trace)
-        assert _tuples(got) == _tuples(expected)
+        assert expected
+        assert _tuples(Detector(detector_cfg, filter_cfg).process_block(trace)) == _tuples(expected)
+
+    @pytest.mark.parametrize("factor", [0.2, 0.5, 2.0])
+    def test_filters_match_the_reference_on_sd_ties(
+        self, synth, outdoor_traces, gold_set, monkeypatch, factor
+    ):
+        """Gate, median and SD filter give the reference detector's output bit for bit.
+
+        Median outputs repeat, so many SD windows hold two levels, and a
+        sample's deviation then sits exactly on the bound in exact
+        arithmetic at factor 0.5 or 2.0; rounding alone decides it. The
+        kernel and ``synth._filtered`` sum in the same order, so they
+        decide alike. On the first three messages, which hold such ties at
+        0.5 and 2.0, per-sample, whole and chunked detection give one event
+        list at a theta low enough that nearly every window fires.
+        """
+        monkeypatch.setattr(synth, "DEVIATION_FACTOR", factor)
+        filter_cfg = FilterConfig(deviation_factor=factor)
+        detector_cfg = DetectorConfig(code_set=gold_set, theta=1e-3)
+        for seed, trace in outdoor_traces.items():
+            state = DetectorState()
+            medians = detector_module._median_block(
+                detector_module._gate_block(trace, state, filter_cfg), state, filter_cfg
+            )
+            filtered = detector_module._sd_block(medians, state, filter_cfg)
+            assert filtered.tobytes() == synth._filtered(trace).tobytes(), seed
+            stretch = trace[:651]
+            if factor != 0.2:
+                assert _sd_ties(medians[: stretch.size], factor, filter_cfg.sd_window), seed
+            expected = _per_sample(stretch, Detector(detector_cfg, filter_cfg))
+            assert len(expected) > 400, seed
+            whole = Detector(detector_cfg, filter_cfg).process_block(stretch)
+            assert _tuples(whole) == _tuples(expected), seed
+            chunked = Detector(detector_cfg, filter_cfg)
+            chunks = np.split(stretch, [1, 3, 217, 300])
+            events = [ev for chunk in chunks for ev in chunked.process_block(chunk)]
+            assert _tuples(events) == _tuples(expected), seed
 
     def test_pattern_one_ulp_deep(self, gold_set):
         """A code keyed one ulp deep fires; the screen must not round it away."""

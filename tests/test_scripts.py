@@ -47,6 +47,22 @@ def test_sweep_modulation_depth_rejects_bad_depths(capsys, depths, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--messages", "0"], "error: messages must be >= 1, got 0"),
+        (["--code", "40"], "error: tag_code_id must be in 0..32, got 40"),
+        (["--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ],
+)
+def test_run_scenarios_rejects_bad_arguments(capsys, argv, message):
+    script = load_script("run_scenarios")
+    assert script.main(["--messages", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def bench_record(side, workload, seed):
     """A run's detail record as ``perfbench/run.py`` writes it, cut to what the series reads."""
     values = {"us_per_period": 3.0 if side == "parent" else 2.0 + seed / 100,
