@@ -12,9 +12,10 @@ one run at a time, with T the benchmark's ``run_seconds``. Each (workload,
 seed) is one pair; pair i runs the parent first when i is even and the change
 first when it is odd. After every run it rewrites ``BENCH_<N>.json`` at the
 repository root (N one past the highest existing series) with each side's
-median and quartiles per metric, how many pairs the change won, and every
-run's detail record. The exit code is 1 when any run failed or gave a wrong
-output, else 0.
+median and quartiles per metric, how many pairs the change won, each side's
+median wall time and calls per run (what a check of the series will cost),
+and every run's wall time and detail record. The exit code is 1 when any run
+failed or gave a wrong output, else 0.
 """
 
 import argparse
@@ -105,6 +106,15 @@ def summarize(runs: list[dict]) -> dict:
                 "parent_values": values["parent"],
                 "change_values": values["change"],
             }
+        # what a check of this workload costs: each side's wall time and calls per run
+        done = {
+            side: [r for r in runs if (r["workload"], r["side"]) == (name, side) and r["record"] is not None]
+            for side in SIDES
+        }
+        entry["wall_s"] = {s: statistics.median(r["wall_s"] for r in rs) for s, rs in done.items() if rs}
+        entry["calls_per_run"] = {
+            s: statistics.median(r["record"]["result"]["attempted"] for r in rs) for s, rs in done.items() if rs
+        }
         results = [(side, result) for sides in by_seed.values() for side, result in sides.items()]
         entry["failed_calls"] = {s: sum(r["failed"] for side, r in results if side == s) for s in SIDES}
         entry["correct"] = all(r["correct"] for _, r in results) and all(
@@ -131,20 +141,22 @@ def document(args: argparse.Namespace, parent_commit: str, runs: list[dict]) -> 
     }
 
 
-def run_series(args: argparse.Namespace, run, parent_commit: str, out: Path) -> dict:
+def run_series(args: argparse.Namespace, run, parent_commit: str, out: Path, clock=time.perf_counter) -> dict:
     """Run every pair through ``run(side, workload, seed) -> (exit_code, record or None)``.
 
-    ``out`` is rewritten after each run, so an interrupted series keeps its runs.
+    Each run's ``wall_s`` is its time on ``clock``. ``out`` is rewritten
+    after each run, so an interrupted series keeps its runs.
     """
     runs: list[dict] = []
     pairs = [(name, seed) for name, seeds in args.pairs for seed in seeds]
     for i, (name, seed) in enumerate(pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            start = clock()
             exit_code, record = run(side, name, seed)
             runs.append({
                 "side": side, "sequence": len(runs), "workload": name, "seed": seed,
                 "finished_utc": time.strftime("%H:%M:%S", time.gmtime()),
-                "exit_code": exit_code, "record": record,
+                "wall_s": clock() - start, "exit_code": exit_code, "record": record,
             })
             doc = document(args, parent_commit, runs)
             out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -203,6 +215,9 @@ def main(argv=None) -> int:
 
         doc = run_series(args, run, parent_commit, out)
     for name, entry in doc["summary"].items():
+        for side in entry["wall_s"]:
+            print(f"{name} {side}: median wall {entry['wall_s'][side]:.1f} s, "
+                  f"{entry['calls_per_run'][side]:g} calls per run")
         for metric in BENCHMARK["end_to_end"] if entry["pairs"] else ():
             e = entry[metric["name"]]
             print(

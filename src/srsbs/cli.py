@@ -19,10 +19,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from ._config import dump
 from .channel import RNG_LAYOUT
-from .detector import Detector
+from .detector import EVENT_DTYPE, Detector
 from .harness import ExperimentConfig
 from .tag import generate_gold_set
 
@@ -36,6 +38,9 @@ def _load_config(args) -> ExperimentConfig:
             raw = json.loads(path.read_text())
         except OSError as exc:
             raise OSError(f"cannot read config {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            byte, offset = exc.object[exc.start], exc.start
+            raise ValueError(f"config {path} is not UTF-8 text: byte {byte:#04x} at offset {offset}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
         config = ExperimentConfig.from_dict(raw)
@@ -110,11 +115,14 @@ def cmd_detect(args) -> int:
     detector_config = dataclasses.replace(config.detector, code_set=config.codes.build())
     detector = Detector(detector_config, config.filter)
     try:
-        with open(args.trace) as fh:
+        # bytes that are not UTF-8 reach the parser escaped, and it names their line
+        with open(args.trace, errors="surrogateescape") as fh:
             chunks = harness.trace_chunks(fh)
-            events = [ev for chunk in chunks for ev in harness.detect_trace(chunk, detector)]
+            events = np.concatenate([np.empty(0, EVENT_DTYPE), *map(detector.event_array, chunks)])
     except OSError as exc:
         raise OSError(f"cannot read trace {args.trace}: {exc.strerror}") from exc
+    except UnicodeError as exc:
+        raise ValueError(f"trace {args.trace}: {exc}") from None
     _write_output(args, harness.format_events(events, args.format))
     _write_manifest(
         args, "detect", config, {"trace": str(args.trace), "events": len(events)}
@@ -227,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

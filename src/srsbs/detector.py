@@ -30,6 +30,8 @@ BLOCK = 4096
 # Correlation slack the kernel's screen keeps below theta, scaled up for
 # windows whose spread is small next to the block's; see ``_correlate_block``.
 SCREEN_MARGIN = 1e-9
+# A row of ``Detector.event_array``: the fields of ``DetectionEvent``.
+EVENT_DTYPE = np.dtype([("period_index", np.int64), ("code_id", np.int64), ("correlation", float)])
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,11 @@ class Detector:
         return self.detect_step(x)
 
     def process_block(self, values: np.ndarray) -> list[DetectionEvent]:
-        """The events ``process`` gives for ``values``, computed on arrays.
+        """The events ``process`` gives for ``values``: ``event_array``'s rows as objects."""
+        return [DetectionEvent(*row) for row in self.event_array(values).tolist()]
+
+    def event_array(self, values: np.ndarray) -> np.ndarray:
+        """The events ``process`` gives for ``values``, as one ``EVENT_DTYPE`` array.
 
         Works through ``values`` ``BLOCK`` periods at a time with the same
         gate, median, SD filter and correlator, reading and writing the same
@@ -305,7 +311,7 @@ class Detector:
         and give the same events bit for bit.
         """
         values = np.asarray(values, dtype=np.float64)
-        events: list[DetectionEvent] = []
+        events = [np.empty(0, EVENT_DTYPE)]
         for start in range(0, values.size, BLOCK):
             x = values[start : start + BLOCK]
             if self.filter.enable_hard:
@@ -314,25 +320,26 @@ class Detector:
                 x = _median_block(x, self.state, self.filter)
             if self.filter.enable_sd:
                 x = _sd_block(x, self.state, self.filter)
-            events.extend(self._correlate_block(x))
-        return events
+            events.append(self._correlate_block(x))
+        return np.concatenate(events)
 
-    def _correlate_block(self, y: np.ndarray) -> list[DetectionEvent]:
+    def _correlate_block(self, y: np.ndarray) -> np.ndarray:
         """``detect_step`` over a block: screen every window, decide the rest as one stack.
 
         The screen correlates all full windows at once from chip sums of the
         block taken about its own mean (the templates are centred, so the
-        offset drops out). Its rounding error stays below a few 1e-12 *
-        M**2 / norm2, where M is the block's largest offset from that mean
-        and norm2 the window's screened squared norm. So a window is skipped
-        only when norm2 > 0 and its screened best is at most
-        ``theta - SCREEN_MARGIN * (1 + M**2 / norm2)``. The screen compares
-        the unscaled product with that bound times ``sqrt(norm2)``; the
-        multiply and the root move the bound by a few ulp, far inside the
-        1e-9 of slack. The other windows go to ``_correlations`` in one
-        stack, which gives each row the bits of a one-row call, so events,
-        ties and correlations are ``detect_step``'s bit for bit. Windows of
-        one repeated value share an outcome, so the stack holds one per value.
+        offset drops out): ``v`` shifted slices added left to right, viewed
+        as ``(n, windows)`` and reduced over axis 0, and the same for the
+        squares. With M the largest offset, norm2 a window's screened squared
+        norm and u = 2**-53, the screened best errs by less than 2 * L * (n +
+        v) * u * (1 + M**2 / norm2), within SCREEN_MARGIN for v up to about
+        360 at n = 31. So a window is skipped only when norm2 > 0 and its
+        screened best is at most ``theta - SCREEN_MARGIN * (1 + M**2 /
+        norm2)``; scaling the bound by ``sqrt(norm2)`` moves it a few ulp.
+        The other windows go to ``_correlations`` in one stack, which gives
+        each row the bits of a one-row call, so events, ties and correlations
+        are ``detect_step``'s bit for bit. Windows of one repeated value share
+        an outcome, so the stack holds one per value.
         """
         state = self.state
         length, v = self.config.window_length, self.config.v
@@ -343,17 +350,19 @@ class Detector:
         state.window_fill += y.size
         state.period_counter += y.size
         if first >= y.size:
-            return []
-        # window k is series[k + 1 : k + 1 + length]; its chip c sums series[k + 1 + v * c :][:v]
-        offsets = series - series.mean()
-        sums = sliding_window_view(offsets, v).sum(axis=1)[first + 1 :]
-        squares = sliding_window_view(offsets * offsets, v).sum(axis=1)[first + 1 :]
-        chip_sums = np.ascontiguousarray(sliding_window_view(sums, length - v + 1)[:, ::v])
-        chip_squares = sliding_window_view(squares, length - v + 1)[:, ::v]
-        norm2 = chip_squares.sum(axis=1) - chip_sums.sum(axis=1) ** 2 / length
+            return np.empty(0, EVENT_DTYPE)
+        # window first + w is series[first + 1 + w :][:length]; chip c sums offsets[w + v * c :][:v]
+        offsets, count = series[first + 1 :] - series.mean(), y.size - first
+        size, squared = offsets.size - v + 1, offsets * offsets
+        sums = sum((offsets[j : j + size] for j in range(1, v)), offsets[:size])
+        squares = sum((squared[j : j + size] for j in range(1, v)), squared[:size])
+        chip_sums = sliding_window_view(sums, count)[::v]
+        norm2 = np.add.reduce(sliding_window_view(squares, count)[::v], axis=0)
+        norm2 -= np.add.reduce(chip_sums, axis=0) ** 2 / length
         spread = np.max(np.abs(offsets)) ** 2
-        raw = chip_sums @ self._chip_templates.T
-        best = (np.abs(raw) if self.config.polarity_agnostic else raw).max(axis=1)
+        products = self._chip_templates @ np.ascontiguousarray(chip_sums)  # BLAS needs a copy
+        best = (np.abs(products) if self.config.polarity_agnostic else products).max(axis=0)
+        del products  # freed before the stack is gathered, so the heap is reused
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (self.config.theta - SCREEN_MARGIN * (1 + spread / norm2)) * np.sqrt(norm2)
         quiet = (norm2 > 0) & (best <= bound)
@@ -388,10 +397,10 @@ class Detector:
         if correlations is None:
             return None
         events = self._decide(correlations[None], np.array([period]), np.zeros(1, np.intp))
-        return events[0] if events else None
+        return DetectionEvent(*events.tolist()[0]) if events.size else None
 
-    def _decide(self, correlations, periods, rows) -> list[DetectionEvent]:
-        """Events of the windows ending at ``periods`` whose best code clears theta.
+    def _decide(self, correlations, periods, rows) -> np.ndarray:
+        """``EVENT_DTYPE`` rows of the windows ending at ``periods`` whose best code clears theta.
 
         Window ``i`` has the correlations ``correlations[rows[i]]``. The best
         code is the first maximum of a row, so ties break toward the lowest
@@ -401,29 +410,32 @@ class Detector:
         best = ranked.argmax(axis=1)
         fired = np.flatnonzero((ranked[np.arange(len(ranked)), best] > self.config.theta)[rows])
         row = rows[fired]
-        codes = np.asarray(self.code_set.labels)[best[row]]
-        values = correlations[row, best[row]]
-        return list(map(DetectionEvent, periods[fired].tolist(), codes.tolist(), values.tolist()))
+        events = np.empty(fired.size, EVENT_DTYPE)
+        events["period_index"], events["correlation"] = periods[fired], correlations[row, best[row]]
+        events["code_id"] = np.asarray(self.code_set.labels)[best[row]]
+        return events
 
     def correlate(self) -> np.ndarray | None:
         """Pearson correlation of the current window against all templates.
 
         None when the window has zero variance (flat stream).
         """
-        correlations, norm = self._correlations(self.state.correlation_window[None])
+        correlations, norm = self._correlations(self.state.correlation_window[None].copy())
         return None if norm[0] == 0 else correlations[0]
 
     def _correlations(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Correlations of a ``(k, L)`` window stack with every template, and each centred norm.
 
-        A flat window (norm 0) gives a NaN row. Every reduction runs along a
-        row in an order that does not depend on k (pairwise sums for the mean
-        and the norm, ``v`` samples per chip sum, ``einsum`` without BLAS over
-        the chips), so a row has the same bits in a stack of one or thousands.
+        Centres, then squares, ``windows`` in place. A flat window (norm 0) gives
+        a NaN row. Every reduction runs along a row in an order that does not
+        depend on k (pairwise sums for the mean and the norm, ``v`` samples per
+        chip left to right, ``einsum`` without BLAS over the chips), so a row
+        has the same bits in a stack of one or thousands.
         """
-        k, length = windows.shape
-        centred = windows - (np.add.reduce(windows, axis=1) / length)[:, None]
-        norm = np.sqrt(np.add.reduce(centred * centred, axis=1))
-        chips = np.add.reduce(centred.reshape(k, self.config.n, self.config.v), axis=2)
+        v = self.config.v
+        windows -= (np.add.reduce(windows, axis=1) / windows.shape[1])[:, None]
+        chips = sum((windows[:, j::v] for j in range(1, v)), windows[:, ::v].copy())
+        windows *= windows
+        norm = np.sqrt(np.add.reduce(windows, axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.einsum("kc,jc->kj", chips, self._chip_templates) / norm[:, None], norm

@@ -415,7 +415,7 @@ def trace_chunks(stream: TextIO) -> Iterator[np.ndarray]:
     line_no = 0
     while lines := list(itertools.islice(stream, BLOCK)):
         try:
-            values = np.array(list(map(float, lines)))
+            values = np.fromiter(map(float, lines), np.float64, len(lines))
             valid = 0.0 <= values.min() and values.max() < math.inf
         except ValueError:
             valid = False
@@ -427,7 +427,9 @@ def _parse_lines(lines: list[str], line_no: int) -> np.ndarray:
     """Parse one magnitude per line after ``line_no`` earlier lines; blank lines are skipped.
 
     A magnitude is what ``float()`` takes from the stripped line, finite and
-    non-negative; any other line is rejected with its line number.
+    non-negative; any other line is rejected with its line number. A line
+    holding bytes that are not UTF-8 (read with ``errors="surrogateescape"``)
+    raises ``UnicodeError``.
     """
     values = []
     for line_no, line in enumerate(lines, line_no + 1):
@@ -437,6 +439,8 @@ def _parse_lines(lines: list[str], line_no: int) -> np.ndarray:
         try:
             value = float(text)
         except ValueError:
+            if any("\udc80" <= char <= "\udcff" for char in text):  # a byte escaped by surrogateescape
+                raise UnicodeError(f"line {line_no} is not UTF-8 text") from None
             raise ValueError(f"trace line {line_no} is not a number: {text!r}") from None
         if not 0.0 <= value < math.inf:
             raise ValueError(
@@ -480,10 +484,8 @@ def write_results_csv(stream: TextIO, rows: Iterable[dict]) -> None:
         writer.writerow([_format_cell(row[key]) for key in RESULTS_HEADER])
 
 
-def write_events_csv(stream: TextIO, events: Iterable[DetectionEvent]) -> None:
-    """The bytes ``csv.writer`` gives: no cell of an event needs quoting."""
-    rows = (f"{ev.period_index},{ev.code_id},{float(ev.correlation)!r}\n" for ev in events)
-    stream.write(",".join(EVENTS_HEADER) + "\n" + "".join(rows))
+def write_events_csv(stream: TextIO, events) -> None:
+    stream.write(format_events(events, "csv"))
 
 
 def read_events_csv(stream: TextIO) -> list[DetectionEvent]:
@@ -538,11 +540,14 @@ def format_results(rows: list[dict], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def format_events(events: list[DetectionEvent], fmt: str) -> str:
+def format_events(events, fmt: str) -> str:
+    """``DetectionEvent``s or an ``EVENT_DTYPE`` array as CSV (no cell needs quoting) or JSON."""
+    if isinstance(events, np.ndarray):
+        rows = events.tolist()
+    else:
+        rows = [(ev.period_index, ev.code_id, float(ev.correlation)) for ev in events]
     if fmt == "csv":
-        buf = io.StringIO()
-        write_events_csv(buf, events)
-        return buf.getvalue()
+        return ",".join(EVENTS_HEADER) + "\n" + "".join(f"{p},{c},{r!r}\n" for p, c, r in rows)
     if fmt == "json":
-        return json.dumps([dump(ev) for ev in events], indent=2) + "\n"
+        return json.dumps([dict(zip(EVENTS_HEADER, row)) for row in rows], indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

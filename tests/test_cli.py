@@ -156,6 +156,13 @@ class TestSimulate:
         assert code == 2
         assert "bad.json" in err
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"seed": 3,\xff}')
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: config {path} is not UTF-8 text: byte 0xff at offset 11\n"
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["simulate", "--config", str(tmp_path / "ghost.json")], capsys
@@ -268,6 +275,31 @@ class TestDetect:
         assert out == ""
         assert "line 601" in err
 
+    @pytest.mark.parametrize("line_no", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_non_utf8_trace_names_the_file_and_line(self, tmp_path, capsys, line_no):
+        lines = [b"0.3\n"] * (2 * BLOCK + 5)
+        lines[line_no - 1] = b"0.\xff3\n"
+        trace = tmp_path / "trace.txt"
+        trace.write_bytes(b"".join(lines))
+        out_path = tmp_path / "events.csv"
+        code, out, err = run_cli(["detect", "--trace", str(trace), "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: trace {trace}: line {line_no} is not UTF-8 text\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"])
+    def test_cr_line_ends_parse_like_newlines(self, tmp_path, capsys, long_trace, ending):
+        values = [f"{value!r}" for value in long_trace[: BLOCK + 300].tolist()]
+        outputs = []
+        for end in ("\n", ending):
+            trace = tmp_path / "trace.txt"
+            trace.write_bytes(end.join(values).encode() + end.encode())
+            code, out, err = run_cli(["detect", "--trace", str(trace)], capsys)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0].count("\n") > 1  # some events fire
+        assert outputs[1] == outputs[0]
+
     def test_corrupt_trace_is_config_error(self, tmp_path, capsys):
         trace = tmp_path / "bad.txt"
         trace.write_text("0.3\nbanana\n")
@@ -318,6 +350,43 @@ class TestChunkedDetect:
         assert out == ""
         assert err == f"error: trace line {3 * BLOCK + 2} is not a finite non-negative magnitude: 'nan'\n"
         assert list(tmp_path.iterdir()) == [trace]
+
+
+class TestDetectOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_equals_the_formatted_events_of_process_block(self, tmp_path, capsys, fmt):
+        """``detect`` formats its event array with the bytes of the event objects."""
+        config = ExperimentConfig(scenario="outdoor", tag_code_id=7, messages=100, seed=3)
+        values = run_experiment(config, keep_trace=True).trace
+        trace = tmp_path / "trace.txt"
+        with open(trace, "w") as fh:
+            write_trace(fh, values)
+        events = Detector().process_block(values)
+        assert len(events) > 2000
+        out = tmp_path / f"events.{fmt}"
+        code, _, err = run_cli(["detect", "--trace", str(trace), "--format", fmt, "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == format_events(events, fmt).encode()
+
+
+class TestResourceErrors:
+    def test_out_of_memory_is_one_line(self, tmp_path):
+        """An allocation beyond a 2 GiB address space ends in one ``error:`` line and exit 1."""
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "results.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "srsbs.cli", "simulate", "--scenario", "noiseless",
+             "--messages", "3000000", "--out", str(out)],
+            capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBaselineAndSweep:

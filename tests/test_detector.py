@@ -218,6 +218,19 @@ class TestDetectStep:
         assert events[0].code_id == 7
         assert abs(events[0].correlation - 1.0) < 1e-12
 
+    def test_correlating_leaves_the_window_alone(self, detector):
+        """The correlator centres and squares a copy, never the detector's window."""
+        values = 0.3 + np.random.default_rng(3).normal(0.0, 0.01, size=217)
+        for y in values[:-1]:
+            assert detector.detect_step(float(y)) is None
+        window = detector.state.correlation_window.copy()
+        assert detector.correlate() is not None
+        assert detector.state.correlation_window.tobytes() == window.tobytes()
+        detector.detect_step(float(values[-1]))  # the first full window: it correlates
+        assert detector.state.correlation_window.tobytes() == np.append(window[1:], values[-1]).tobytes()
+        assert detector.correlate() is not None
+        assert detector.state.correlation_window.tobytes() == np.append(window[1:], values[-1]).tobytes()
+
     def test_flat_window_never_detects(self, detector):
         for k in range(500):
             assert detector.detect_step(0.3) is None
@@ -254,18 +267,32 @@ class TestDetectStep:
         assert got_agnostic[0].correlation == pytest.approx(-1.0, abs=1e-12)
 
 
-def window_stack(gold_set, k, seed):
+def window_stack(gold_set, k, seed, v=7):
     """``k`` windows of mixed kinds: noisy, offset, keyed, constant and flat."""
     rng = np.random.default_rng(seed)
-    stack = rng.normal(0.3, rng.uniform(1e-6, 0.1, size=(k, 1)), size=(k, 217))
+    length = 31 * v
+    stack = rng.normal(0.3, rng.uniform(1e-6, 0.1, size=(k, 1)), size=(k, length))
     kinds = rng.integers(0, 5, size=k)
-    keyed = encode_repetition(gold_set.code(int(rng.integers(33))), 7) > 0
+    keyed = encode_repetition(gold_set.code(int(rng.integers(33))), v) > 0
     stack[kinds == 1] += 1e6  # a large offset next to a small spread
-    stack[kinds == 2] = 0.3 + 0.01 * keyed + rng.normal(0.0, 1e-3, size=(np.sum(kinds == 2), 217))
+    stack[kinds == 2] = 0.3 + 0.01 * keyed + rng.normal(0.0, 1e-3, size=(np.sum(kinds == 2), length))
     # constant rows whose mean does not come out exact, and rows of exact zero variance
     stack[kinds == 3] = rng.choice([0.1, 1 / 3, 0.7, 0.45], size=(np.sum(kinds == 3), 1))
     stack[kinds == 4] = rng.choice([0.0, 0.25, 2.0], size=(np.sum(kinds == 4), 1))
     return stack
+
+
+def check_rows_match_one_row_calls(detector, stack, cuts):
+    """Each row of ``stack`` has its one-row call's bits, whole and split at ``cuts``."""
+    k = len(stack)
+    correlations, norm = detector._correlations(stack.copy())  # it works in place
+    assert correlations.shape == (k, 33)
+    alone = [detector._correlations(window[None].copy()) for window in stack]
+    assert correlations.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+    assert norm.tobytes() == np.concatenate([n for _, n in alone]).tobytes()
+    parts = np.split(stack, sorted(c % (k + 1) for c in cuts))
+    pieces = np.concatenate([detector._correlations(part.copy())[0] for part in parts])
+    assert pieces.tobytes() == correlations.tobytes()
 
 
 class TestStackedCorrelations:
@@ -276,15 +303,16 @@ class TestStackedCorrelations:
     @settings(max_examples=4, deadline=None)
     def test_rows_match_one_row_calls(self, gold_set, k, seed, cuts):
         detector = Detector(DetectorConfig(code_set=gold_set))
-        stack = window_stack(gold_set, k, seed)
-        correlations, norm = detector._correlations(stack)
-        assert correlations.shape == (k, 33)
-        alone = [detector._correlations(window[None]) for window in stack]
-        assert correlations.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
-        assert norm.tobytes() == np.concatenate([n for _, n in alone]).tobytes()
-        parts = np.split(stack, sorted(c % (k + 1) for c in cuts))
-        pieces = np.concatenate([detector._correlations(part)[0] for part in parts])
-        assert pieces.tobytes() == correlations.tobytes()
+        check_rows_match_one_row_calls(detector, window_stack(gold_set, k, seed), cuts)
+
+    @pytest.mark.parametrize("v", [8, 9, 16])
+    @pytest.mark.parametrize("k", [1, 3, 217, 4096])
+    @given(seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 4096), max_size=4))
+    @settings(max_examples=2, deadline=None)
+    def test_rows_match_one_row_calls_at_longer_chip_runs(self, gold_set, v, k, seed, cuts):
+        """From v = 8 numpy would sum a chip pairwise; the left-to-right sum keeps rows alike."""
+        detector = Detector(DetectorConfig(code_set=gold_set, v=v))
+        check_rows_match_one_row_calls(detector, window_stack(gold_set, k, seed, v), cuts)
 
     def test_flat_rows_are_nan_and_varied_rows_finite(self, gold_set):
         detector = Detector(DetectorConfig(code_set=gold_set))

@@ -773,3 +773,40 @@ class TestBlockKernel:
         expected = _per_sample(trace, Detector(config))
         assert (period in {ev.period_index for ev in expected}) == below
         assert _tuples(Detector(config).process_block(trace)) == _tuples(expected)
+
+
+class TestBlockKernelAtAnyChipRun:
+    """Whole, chunked and per-sample detection agree bit for bit at any chip run ``v``."""
+
+    @pytest.mark.parametrize("agnostic", [False, True])
+    @pytest.mark.parametrize("v", [2, 7, 8, 9, 16])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 0.3, 1e3, 1e6]) | st.floats(0.0, 1e6),
+        depth=st.floats(1e-4, 1e-2),
+        cuts=st.lists(st.integers(0, 1100), max_size=5),
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_matches_process(self, gold_set, v, agnostic, seed, offset, depth, cuts):
+        """A code keyed ``depth`` deep, maybe inverted, on an offset up to 1e6, with noise and spikes."""
+        rng = np.random.default_rng(seed)
+        length = 31 * v
+        size = int(rng.integers(2 * length, 2 * length + 50))  # holds an aligned window
+        level = max(offset, 0.3)
+        keyed = np.resize(encode_repetition(gold_set.code(int(rng.integers(33))), v) > 0, size + length)
+        sign = rng.choice([-1.0, 1.0])
+        trace = offset + sign * depth * level * keyed[int(rng.integers(length)) :][:size]
+        trace += rng.normal(0.0, depth * level * rng.uniform(0.01, 0.5), size)
+        trace[rng.random(size) < 0.01] += 10 * level  # spikes for the gate
+        filter_cfg = FilterConfig(
+            alpha=offset + 2 * level,
+            median_window=int(rng.integers(1, v)),
+            sd_window=int(rng.integers(1, v)),
+            deviation_factor=float(rng.choice([0.2, 2.0, math.inf])),
+        )
+        detector_cfg = DetectorConfig(code_set=gold_set, v=v, polarity_agnostic=agnostic)
+        expected = _tuples(_per_sample(trace, Detector(detector_cfg, filter_cfg)))
+        assert _tuples(Detector(detector_cfg, filter_cfg).process_block(trace)) == expected
+        chunked = Detector(detector_cfg, filter_cfg)
+        pieces = [chunked.event_array(chunk) for chunk in np.split(trace, sorted(cuts))]
+        assert np.concatenate(pieces).tolist() == expected

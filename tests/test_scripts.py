@@ -71,7 +71,7 @@ def bench_record(side, workload, seed):
         "workload": workload, "seed": seed,
         "environment": {"nproc": 2, "loadavg_start": [seed, 0, 0], "loadavg_end": [seed, 1, 1]},
         "result": {
-            "correct": True, "attempted": 10, "failed": 0,
+            "correct": True, "attempted": 10 if side == "parent" else 14 + seed, "failed": 0,
             "metrics": {key: {"value": value, "unit": "x"} for key, value in values.items()},
         },
     }
@@ -84,15 +84,20 @@ def test_bench_pairs_alternates_sides_and_writes_the_series(tmp_path):
         pairs=[("detect_outdoor_trace", [1, 2, 3]), ("sweep_depth_short", [4])],
     )
     calls = []
+    now = [0.0]
+
+    def clock():
+        return now[0]
 
     def run(side, workload, seed):  # stands in for one benchmark run
         calls.append((side, workload, seed))
+        now[0] += 40.0 if side == "parent" else 50.0 + seed  # the run's wall time
         if (side, workload) == ("change", "sweep_depth_short"):
             return 2, None  # the benchmark could not run
         return 0, bench_record(side, workload, seed)
 
     out = tmp_path / "BENCH_9.json"
-    doc = script.run_series(args, run, "abc123", out)
+    doc = script.run_series(args, run, "abc123", out, clock=clock)
     detect = "detect_outdoor_trace"
     assert calls == [
         ("parent", detect, 1), ("change", detect, 1), ("change", detect, 2), ("parent", detect, 2),
@@ -110,8 +115,9 @@ def test_bench_pairs_alternates_sides_and_writes_the_series(tmp_path):
     assert [run["sequence"] for run in doc["runs"]] == list(range(8))
     assert doc["runs"][6] == {
         "side": "change", "sequence": 6, "workload": "sweep_depth_short", "seed": 4,
-        "finished_utc": doc["runs"][6]["finished_utc"], "exit_code": 2, "record": None,
+        "finished_utc": doc["runs"][6]["finished_utc"], "wall_s": 54.0, "exit_code": 2, "record": None,
     }
+    assert [run["wall_s"] for run in doc["runs"][:3]] == [40.0, 51.0, 52.0]
 
     summary = doc["summary"][detect]
     assert (summary["seeds"], summary["pairs"], summary["correct"]) == ([1, 2, 3], 3, True)
@@ -122,8 +128,13 @@ def test_bench_pairs_alternates_sides_and_writes_the_series(tmp_path):
     assert (speed["change_wins"], speed["ties"]) == (3, 0)
     assert speed["change_values"] == [2.01, 2.02, 2.03]
     assert (summary["pass_ratio"]["change_wins"], summary["pass_ratio"]["ties"]) == (0, 3)
+    # medians over each side's runs: what a check of the series costs in time and calls
+    assert summary["wall_s"] == {"parent": 40.0, "change": 52.0}
+    assert summary["calls_per_run"] == {"parent": 10, "change": 16}
     sweep = doc["summary"]["sweep_depth_short"]
     assert (sweep["pairs"], sweep["correct"]) == (0, False)
+    assert sweep["wall_s"] == {"parent": 40.0}  # the change's run gave no record
+    assert sweep["calls_per_run"] == {"parent": 10}
 
 
 @pytest.mark.parametrize(
