@@ -5,9 +5,10 @@ Runs the commands that tests/test_golden.py pins, through that file's own
 helpers, once with the working tree's source and once with the source of a
 git revision (default HEAD). Then it rewrites tests/golden/digests.json and
 tests/golden/short_trace_events.csv from the working tree's outputs and
-prints one line per pinned file: whether its digest changed and, for an
-events file, whether any (period_index, code_id) pair changed against the
-revision and the largest change of a correlation. Last it runs
+prints one line per pinned file: whether its digest changed; for an events
+file, whether any (period_index, code_id) pair changed against the revision
+and the largest change of a correlation; for a changed manifest, each JSON
+path added, removed or changed against the revision. Last it runs
 tests/test_golden.py on the new fixtures; the exit code is pytest's.
 
     python scripts/regen_goldens.py [--against REV]
@@ -72,6 +73,29 @@ def compare_events(old: Path, new: Path) -> str:
     return f"(period, code) pairs unchanged ({len(new_pairs)} events), max |r change| {drift:.1e}"
 
 
+def manifest_changes(old: dict, new: dict, prefix: str = "") -> list[str]:
+    """Each JSON path that ``new`` adds, removes or changes against ``old``, as ``"removed a.b"``."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        path = f"{prefix}{key}"
+        if key not in new:
+            lines.append(f"removed {path}")
+        elif key not in old:
+            lines.append(f"added {path}")
+        elif isinstance(old[key], dict) and isinstance(new[key], dict):
+            lines.extend(manifest_changes(old[key], new[key], path + "."))
+        elif old[key] != new[key]:
+            lines.append(f"changed {path}")
+    return lines
+
+
+def report_manifest(tmp: Path, manifest: Path) -> None:
+    """Print the JSON paths that moved in one manifest between the revision's and the new run."""
+    old, new = (json.loads((tmp / side / manifest).read_text()) for side in ("old_out", "new_out"))
+    for line in manifest_changes(old, new):
+        print(f"    {line}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", default="HEAD", help="git revision to compare events with")
@@ -92,6 +116,8 @@ def main(argv=None) -> int:
         for name in sorted(new["baseline"]):
             moved = pinned["baseline"].get(name) != new["baseline"][name]
             print(f"  baseline/{name}: {'changed' if moved else 'unchanged'}")
+            if name == "manifest" and moved:
+                report_manifest(tmp, Path("baseline", "baseline.csv.manifest.json"))
         for scenario, digests in sorted(new["simulate"].items()):
             for name in sorted(digests):
                 moved = pinned["simulate"].get(scenario, {}).get(name) != digests[name]
@@ -100,6 +126,8 @@ def main(argv=None) -> int:
                     events = Path("simulate", scenario, "events.csv")
                     line += "; " + compare_events(tmp / "old_out" / events, tmp / "new_out" / events)
                 print(line)
+                if name == "manifest" and moved:
+                    report_manifest(tmp, Path("simulate", scenario, "results.csv.manifest.json"))
         detect = tmp / "new_out" / "detect" / "events.csv"
         fixture = GOLDEN / "short_trace_events.csv"
         moved = "unchanged" if detect.read_bytes() == fixture.read_bytes() else "changed"

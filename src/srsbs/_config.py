@@ -32,13 +32,12 @@ _CHECKS = {
 }
 
 
-def check_fields(obj, allow_inf: tuple[str, ...] = ()) -> None:
+def check_fields(obj) -> None:
     """Raise ValueError unless each scalar field matches its annotation.
 
     ``bool`` fields take only booleans, ``int`` fields only integers (not
-    booleans), ``float`` fields any real number except booleans and NaN;
-    infinity only for the fields named in ``allow_inf``. Fields of any other
-    annotation are left to the dataclass's own checks.
+    booleans), ``float`` fields any finite real number except booleans.
+    Fields of any other annotation are left to the dataclass's own checks.
     """
     for f in dataclasses.fields(obj):
         if f.type not in _CHECKS:
@@ -46,9 +45,7 @@ def check_fields(obj, allow_inf: tuple[str, ...] = ()) -> None:
         value = getattr(obj, f.name)
         if not _CHECKS[f.type](value):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        if f.type == "float" and not math.isfinite(value) and (
-            math.isnan(value) or f.name not in allow_inf
-        ):
+        if f.type == "float" and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 

@@ -39,10 +39,11 @@ class FilterConfig:
     """Filter-stage knobs.
 
     ``alpha`` is an absolute magnitude ceiling: samples above it are presumed
-    front-end artifacts and replaced with the last accepted sample. The
-    median and SD windows must stay shorter than the code chip repetition
-    run so legitimate keying transitions survive. ``deviation_factor`` may be
-    ``inf`` to disable the SD branch entirely.
+    front-end artifacts and replaced with the last accepted sample;
+    ``enable_hard`` switches that gate off. A median or SD window of 1 is
+    the identity, so a window of 1 skips its stage. A longer window must
+    stay shorter than the code chip repetition run so legitimate keying
+    transitions survive.
 
     ``sd_replacement`` picks what replaces a flagged outlier: the window mean
     (default) or the previous filter output.
@@ -54,17 +55,15 @@ class FilterConfig:
     deviation_factor: float = 0.2
     sd_replacement: str = SD_REPLACE_MEAN
     enable_hard: bool = True
-    enable_median: bool = True
-    enable_sd: bool = True
 
     def __post_init__(self):
-        check_fields(self, allow_inf=("deviation_factor",))
+        check_fields(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.median_window < 1 or self.sd_window < 1:
             raise ValueError("filter windows must be >= 1")
         if self.deviation_factor < 0:
-            raise ValueError("deviation_factor must be >= 0 (inf disables)")
+            raise ValueError("deviation_factor must be >= 0")
         if self.sd_replacement not in (SD_REPLACE_MEAN, SD_REPLACE_PREVIOUS):
             raise ValueError(
                 f"sd_replacement must be '{SD_REPLACE_MEAN}' or '{SD_REPLACE_PREVIOUS}'"
@@ -75,7 +74,6 @@ class FilterConfig:
 class DetectorConfig:
     theta: float = 0.4
     v: int = REPEATS
-    n: int = CODE_LENGTH
     polarity_agnostic: bool = False
     code_set: GoldCodeSet | None = None
 
@@ -83,12 +81,12 @@ class DetectorConfig:
         check_fields(self)
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.v < 1 or self.n < 1:
-            raise ValueError("v and n must be >= 1")
+        if self.v < 1:
+            raise ValueError("v must be >= 1")
 
     @property
     def window_length(self) -> int:
-        return self.v * self.n
+        return self.v * CODE_LENGTH
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def _sd_block(d: np.ndarray, state: DetectorState, config: FilterConfig) -> np.n
     configured; the stream's first sample, with no previous output, is kept.
     """
     (mean, sigma), state.sd_buffer = _sliding(d, state.sd_buffer, config.sd_window, _moments)
-    with np.errstate(invalid="ignore"):  # inf * 0 when the factor is inf
+    with np.errstate(invalid="ignore"):  # 0 * inf at factor 0 when a window's SD overflows
         outlier = np.abs(d - mean) > config.deviation_factor * sigma
     if config.sd_replacement == SD_REPLACE_MEAN:
         out = np.where(outlier, mean, d)
@@ -258,23 +256,18 @@ class Detector:
     ):
         self.config = detector_config or DetectorConfig()
         self.filter = filter_config or FilterConfig()
-        if self.filter.enable_median and self.filter.median_window >= self.config.v:
+        if 1 < self.filter.median_window >= self.config.v:
             raise ValueError(
-                "median window must be shorter than the chip repetition run "
+                "median window must be 1 or shorter than the chip repetition run "
                 f"({self.filter.median_window} >= {self.config.v})"
             )
-        if self.filter.enable_sd and self.filter.sd_window >= self.config.v:
+        if 1 < self.filter.sd_window >= self.config.v:
             raise ValueError(
-                "SD window must be shorter than the chip repetition run "
+                "SD window must be 1 or shorter than the chip repetition run "
                 f"({self.filter.sd_window} >= {self.config.v})"
             )
         code_set = self.config.code_set or generate_gold_set()
         self.code_set = code_set
-        if code_set.codes.shape[1] != self.config.n:
-            raise ValueError(
-                f"code set length {code_set.codes.shape[1]} does not match "
-                f"configured chip count {self.config.n}"
-            )
         chips = np.array([code_set.code(cid) for cid in code_set.labels], dtype=np.float64)
         templates = np.repeat(chips, self.config.v, axis=1)
         centered = templates - templates.mean(axis=1, keepdims=True)
@@ -292,9 +285,9 @@ class Detector:
         x = float(a)
         if self.filter.enable_hard:
             x = hard_threshold(x, self.state, self.filter)
-        if self.filter.enable_median:
+        if self.filter.median_window > 1:
             x = median_filter(x, self.state, self.filter)
-        if self.filter.enable_sd:
+        if self.filter.sd_window > 1:
             x = sd_filter(x, self.state, self.filter)
         return self.detect_step(x)
 
@@ -316,9 +309,9 @@ class Detector:
             x = values[start : start + BLOCK]
             if self.filter.enable_hard:
                 x = _gate_block(x, self.state, self.filter)
-            if self.filter.enable_median:
+            if self.filter.median_window > 1:
                 x = _median_block(x, self.state, self.filter)
-            if self.filter.enable_sd:
+            if self.filter.sd_window > 1:
                 x = _sd_block(x, self.state, self.filter)
             events.append(self._correlate_block(x))
         return np.concatenate(events)

@@ -96,7 +96,7 @@ class ExperimentConfig:
 
     ``scenario`` is either a preset name or an explicit channel config.
     ``messages`` is the number of message transmissions R; one run simulates
-    exactly R * v * n sounding periods.
+    exactly R * v * 31 sounding periods.
     """
 
     scenario: str | ChannelConfig = "noiseless"

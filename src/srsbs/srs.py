@@ -37,26 +37,21 @@ class ZcConfig:
     """Zadoff-Chu root sequence parameters.
 
     The base length must be prime so the sequence keeps its ideal cyclic
-    autocorrelation; the extension to ``target_length`` is cyclic. The root
-    index only rotates phases, which the magnitude-based detector never sees,
-    so any valid root behaves identically downstream.
+    autocorrelation, and at most ``SRS_LENGTH``: the pilot repeats the base
+    cyclically to fill its 144 subcarriers. The root index only rotates
+    phases, which the magnitude-based detector never sees, so any valid root
+    behaves identically downstream.
     """
 
     root: int = 25
     base_length: int = 139
-    target_length: int = SRS_LENGTH
 
     def __post_init__(self):
         check_fields(self)
-        # The length bounds come first: they cap the trial division below.
-        if self.target_length != SRS_LENGTH:
+        # The length bound comes first: it caps the trial division below.
+        if self.base_length > SRS_LENGTH:
             raise ValueError(
-                f"target_length must be {SRS_LENGTH}, got {self.target_length}"
-            )
-        if self.target_length < self.base_length:
-            raise ValueError(
-                "target_length must be at least base_length "
-                f"({self.target_length} < {self.base_length})"
+                f"base_length must be at most {SRS_LENGTH}, got {self.base_length}"
             )
         if not is_prime(self.base_length):
             raise ValueError(f"base_length must be prime, got {self.base_length}")
@@ -78,22 +73,10 @@ def generate_zc_base(config: ZcConfig) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def extend_to_srs(base: np.ndarray, target_length: int) -> np.ndarray:
-    """Cyclically extend a root sequence to the full pilot length.
-
-    ``out[n] = base[n mod len(base)]``; raises if the target is shorter than
-    the base.
-    """
-    base = np.asarray(base)
-    if target_length < base.size:
-        raise ValueError(
-            f"target_length {target_length} shorter than base length {base.size}"
-        )
-    idx = np.arange(target_length) % base.size
-    return base[idx]
-
-
 def make_srs_symbol(config: ZcConfig | None = None) -> np.ndarray:
-    """The transmitted pilot: 144 unit-amplitude complex subcarrier values."""
+    """The transmitted pilot: 144 unit-amplitude complex subcarrier values.
+
+    Subcarrier ``k`` carries base element ``k mod base_length``.
+    """
     config = config or ZcConfig()
-    return extend_to_srs(generate_zc_base(config), config.target_length)
+    return generate_zc_base(config)[np.arange(SRS_LENGTH) % config.base_length]

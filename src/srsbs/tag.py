@@ -49,30 +49,18 @@ class LfsrSpec:
             raise ValueError(f"seed must be 5 bits, got {self.seed}")
         if not any(self.seed):
             raise ValueError("seed must be nonzero")
-        if self._period() != CODE_LENGTH:
+        # the state after s steps is bits[s : s + 5]; the period is the first s that restores the seed
+        bits, seed = self.bits(CODE_LENGTH + 5).tolist(), list(self.seed)
+        period = next((s for s in range(1, CODE_LENGTH + 1) if bits[s : s + 5] == seed), None)
+        if period != CODE_LENGTH:
             raise ValueError(
                 f"polynomial {taps} is not primitive (period != {CODE_LENGTH})"
             )
 
-    def _recurrence_taps(self) -> tuple[int, ...]:
-        return tuple(t for t in self.taps if t < 5)
-
-    def _period(self) -> int:
-        state = tuple(self.seed)
-        lows = self._recurrence_taps()
-        for step in range(1, CODE_LENGTH + 1):
-            bit = 0
-            for t in lows:
-                bit ^= state[t]
-            state = state[1:] + (bit,)
-            if state == tuple(self.seed):
-                return step
-        return CODE_LENGTH + 1
-
     def bits(self, length: int = CODE_LENGTH) -> np.ndarray:
         """Clock the register ``length`` times and collect the output bits."""
         state = list(self.seed)
-        lows = self._recurrence_taps()
+        lows = [t for t in self.taps if t < 5]
         out = np.empty(length, dtype=np.int8)
         for k in range(length):
             out[k] = state[0]

@@ -209,7 +209,7 @@ def test_c07_filter_efficacy():
     bypassed = run_experiment(
         dataclasses.replace(
             base,
-            filter=FilterConfig(enable_median=False, enable_sd=False),
+            filter=FilterConfig(median_window=1, sd_window=1),
         )
     )
     assert (

@@ -195,6 +195,11 @@ class TestSimulate:
              ["simulate"]),
             ('{"scenario": {"noise_sigma": 0.1}, "messages": 2}',
              ["sweep", "--param", "modulation_depth", "--values", "0.05,1e308"]),
+            ('{"detector": {"n": 31}}', ["simulate"]),
+            ('{"filter": {"enable_sd": false}}', ["simulate"]),
+            ('{"filter": {"deviation_factor": Infinity}}', ["simulate"]),
+            ('{"zc": {"target_length": 144}}', ["simulate"]),
+            ('{"messages": 2}', ["sweep", "--param", "n", "--values", "31"]),
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc, argv):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srsbs import detector as detector_module
 from srsbs.detector import (
     DetectionEvent,
     Detector,
@@ -17,6 +18,7 @@ from srsbs.detector import (
     pearson,
     sd_filter,
 )
+from srsbs.harness import ExperimentConfig
 from srsbs.tag import encode_repetition
 
 
@@ -150,8 +152,22 @@ class TestSdFilter:
     def test_outlier_replaced_by_previous_output(self):
         assert self.run_one([1.0] * 4, 2.0, sd_replacement="previous") == 1.0
 
-    def test_infinite_deviation_factor_disables(self):
-        assert self.run_one([1.0] * 4, 2.0, deviation_factor=math.inf) == 2.0
+    @pytest.mark.parametrize("replacement", ["mean", "previous"])
+    @pytest.mark.parametrize("factor", [0.0, 0.2])
+    def test_windows_of_one_return_their_input(self, replacement, factor):
+        """A window of 1 is the identity, which is why ``Detector`` skips such a stage."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(0.3, 0.2, 300)
+        odd = rng.choice(x.size, 60, replace=False)
+        x[odd] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300], odd.size)
+        cfg = FilterConfig(
+            median_window=1, sd_window=1, deviation_factor=factor, sd_replacement=replacement
+        )
+        state = DetectorState()
+        with np.errstate(invalid="ignore"):  # inf - inf in the SD stage's window moments
+            for chunk in np.split(x, [1, 2, 9, 150]):
+                assert detector_module._median_block(chunk, state, cfg).tobytes() == chunk.tobytes()
+                assert detector_module._sd_block(chunk, state, cfg).tobytes() == chunk.tobytes()
 
     def test_first_sample_passes(self):
         # single-sample window has zero deviation
@@ -383,11 +399,16 @@ class TestConfigValidation:
                 FilterConfig(sd_window=9),
             )
 
-    def test_bypassed_filter_window_not_constrained(self, gold_set):
-        Detector(
-            DetectorConfig(code_set=gold_set),
-            FilterConfig(median_window=9, enable_median=False),
-        )
+    def test_windows_of_one_fit_any_repetition_run(self, gold_set):
+        for v in (1, 2):
+            Detector(
+                DetectorConfig(code_set=gold_set, v=v),
+                FilterConfig(median_window=1, sd_window=1),
+            )
+        with pytest.raises(ValueError, match="median window"):
+            Detector(DetectorConfig(code_set=gold_set, v=5), FilterConfig(median_window=5))
+        with pytest.raises(ValueError, match="SD window"):
+            Detector(DetectorConfig(code_set=gold_set, v=5), FilterConfig(median_window=1, sd_window=5))
 
     def test_filter_config_validation(self):
         with pytest.raises(ValueError):
@@ -399,6 +420,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FilterConfig(sd_replacement="zero")
 
-    def test_code_set_length_must_match(self, gold_set):
-        with pytest.raises(ValueError, match="chip count"):
-            Detector(DetectorConfig(code_set=gold_set, n=15))
+    def test_chip_count_is_not_a_config_key(self):
+        """The code family fixes 31 chips, so no config sets a chip count."""
+        with pytest.raises(ValueError, match=r"bad detector config: unknown keys \['n'\]"):
+            ExperimentConfig.from_dict({"detector": {"n": 31}})

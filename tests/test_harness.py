@@ -377,7 +377,7 @@ class TestConfigSerialization:
             scenario=ChannelConfig(base_gain=0.2, modulation_depth=0.03, drift_rate=0.001),
             tag_enabled=False,
             detector=DetectorConfig(theta=0.35, v=6, polarity_agnostic=True),
-            filter=FilterConfig(sd_window=3, deviation_factor=math.inf, sd_replacement="previous"),
+            filter=FilterConfig(sd_window=3, deviation_factor=1.5, sd_replacement="previous"),
             codes=CodeConfig(seed_a=(1, 0, 1, 0, 1)),
             zc=ZcConfig(root=3, base_length=137),
         )
@@ -626,11 +626,11 @@ class TestBlockKernel:
         "detector_kwargs, filter_kwargs",
         [
             ({}, {"enable_hard": False}),
-            ({}, {"enable_median": False}),
-            ({}, {"enable_sd": False}),
+            ({}, {"median_window": 1}),
+            ({}, {"sd_window": 1}),
             ({}, {"sd_replacement": "previous"}),
             ({}, {"median_window": 4}),
-            ({}, {"deviation_factor": math.inf}),
+            ({}, {"deviation_factor": 2.0}),
             ({"polarity_agnostic": True}, {}),
         ],
     )
@@ -696,7 +696,7 @@ class TestBlockKernel:
         level = 0.3
         trace = np.where(np.tile(chips, 2), np.nextafter(level, 1.0), level)
         detector_cfg = DetectorConfig(code_set=gold_set)
-        filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
+        filter_cfg = FilterConfig(median_window=1, sd_window=1)
         expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
         assert expected
         got = Detector(detector_cfg, filter_cfg).process_block(trace)
@@ -706,7 +706,7 @@ class TestBlockKernel:
         """Constant windows, then windows holding one new value, at a low theta."""
         trace = np.concatenate([np.full(300, 0.3), np.full(300, 0.31), np.full(300, 0.3)])
         detector_cfg = DetectorConfig(code_set=gold_set, theta=0.05)
-        filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
+        filter_cfg = FilterConfig(median_window=1, sd_window=1)
         expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
         assert expected
         got = Detector(detector_cfg, filter_cfg).process_block(trace)
@@ -723,7 +723,7 @@ class TestBlockKernel:
         values = (0.1, 1 / 3, 0.3, 0.1, 0.45, 0.25, 0.3)
         trace = np.concatenate([np.full(300, value) for value in values])
         detector_cfg = DetectorConfig(code_set=gold_set, theta=1e-30)
-        filter_cfg = FilterConfig(enable_median=False, enable_sd=False)
+        filter_cfg = FilterConfig(median_window=1, sd_window=1)
         expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
         outcomes = {}  # value -> the events of the windows holding only that value
         for ev in expected:
@@ -745,7 +745,7 @@ class TestBlockKernel:
         """
         chips = encode_repetition(gold_set.code(7), 7) > 0
         trace = np.concatenate([np.full(300, 0.5), np.where(np.tile(chips, 2), 0.3 + 1e-5, 0.3)])
-        filter_cfg = FilterConfig(enable_hard=False, enable_median=False, enable_sd=False)
+        filter_cfg = FilterConfig(enable_hard=False, median_window=1, sd_window=1)
         events = _per_sample(trace, Detector(DetectorConfig(code_set=gold_set, theta=0.1), filter_cfg))
 
         def under(event):
@@ -802,7 +802,7 @@ class TestBlockKernelAtAnyChipRun:
             alpha=offset + 2 * level,
             median_window=int(rng.integers(1, v)),
             sd_window=int(rng.integers(1, v)),
-            deviation_factor=float(rng.choice([0.2, 2.0, math.inf])),
+            deviation_factor=float(rng.choice([0.2, 2.0, 20.0])),
         )
         detector_cfg = DetectorConfig(code_set=gold_set, v=v, polarity_agnostic=agnostic)
         expected = _tuples(_per_sample(trace, Detector(detector_cfg, filter_cfg)))

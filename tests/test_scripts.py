@@ -159,3 +159,24 @@ def test_bench_pairs_defaults_to_the_next_series():
     existing = [int(p.stem.split("_")[1]) for p in SCRIPTS.parent.glob("BENCH_*.json")]
     assert args.series == max(existing, default=0) + 1
     assert (args.against, args.pairs) == ("HEAD", [("baseline_indoor_long", [2, 3])])
+
+
+def test_regen_goldens_reports_manifest_changes_by_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # regen_goldens imports bench_pairs
+    script = load_script("regen_goldens")
+    old = {"config": {"detector": {"n": 31, "v": 7}, "seed": 1}, "version": "0.1.0"}
+    new = {"config": {"detector": {"v": 7}, "seed": 2, "codes": {}}, "version": "0.1.0", "x": [1]}
+    assert script.manifest_changes(old, new) == [
+        "added config.codes", "removed config.detector.n", "changed config.seed", "added x",
+    ]
+    assert script.manifest_changes(new, new) == []
+    assert script.manifest_changes({"a": {"b": 1}}, {"a": 1}) == ["changed a"]
+    manifest = Path("simulate", "noiseless", "results.csv.manifest.json")
+    for side, doc in (("old_out", old), ("new_out", new)):
+        (tmp_path / side / manifest).parent.mkdir(parents=True)
+        (tmp_path / side / manifest).write_text(json.dumps(doc))
+    script.report_manifest(tmp_path, manifest)
+    assert capsys.readouterr().out == (
+        "    added config.codes\n    removed config.detector.n\n"
+        "    changed config.seed\n    added x\n"
+    )

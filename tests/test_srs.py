@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srsbs.srs import (
-    ZcConfig,
-    extend_to_srs,
-    generate_zc_base,
-    is_prime,
-    make_srs_symbol,
-)
+from srsbs.srs import ZcConfig, generate_zc_base, is_prime, make_srs_symbol
 
 
 def brute_force_cyclic_autocorr(seq, lag):
@@ -52,7 +46,7 @@ class TestZcBase:
             dict(root=1, base_length=140),  # not prime
             dict(root=0, base_length=139),
             dict(root=139, base_length=139),
-            dict(root=1, base_length=139, target_length=100),
+            dict(root=1, base_length=149),  # prime, longer than the pilot
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -69,38 +63,31 @@ class TestZcBase:
 class TestExtension:
     def test_cyclic_tail(self):
         base = generate_zc_base(ZcConfig())
-        ext = extend_to_srs(base, 144)
-        assert ext.size == 144
+        ext = make_srs_symbol()
+        np.testing.assert_array_equal(ext[:139], base)
         np.testing.assert_array_equal(ext[139:], base[:5])
-
-    def test_identity_when_equal_length(self):
-        base = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(extend_to_srs(base, 4), base)
 
     def test_modulus_inherited(self):
         symbol = make_srs_symbol()
         assert symbol.shape == (144,)
         assert np.max(np.abs(np.abs(symbol) - 1.0)) < 1e-12
 
-    def test_target_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            extend_to_srs(np.ones(10), 9)
-
     @settings(max_examples=30, deadline=None)
     @given(
-        base_len=st.integers(min_value=1, max_value=20),
-        extra=st.integers(min_value=0, max_value=50),
+        base_length=st.sampled_from([p for p in range(2, 145) if is_prime(p)]),
+        root=st.integers(min_value=1, max_value=142),
     )
-    def test_matches_modular_indexing(self, base_len, extra):
-        base = np.arange(base_len, dtype=float)
-        target = base_len + extra
-        ext = extend_to_srs(base, target)
-        for n in range(target):
-            assert ext[n] == base[n % base_len]
+    def test_matches_modular_indexing(self, base_length, root):
+        config = ZcConfig(root=1 + (root - 1) % (base_length - 1), base_length=base_length)
+        base = generate_zc_base(config)
+        ext = make_srs_symbol(config)
+        assert ext.shape == (144,)
+        for k in range(144):
+            assert ext[k] == base[k % base_length]
 
 
 class TestSrsSymbol:
-    def test_wrong_length_rejected(self):
+    def test_base_longer_than_the_pilot_rejected(self):
         # the pilot always holds exactly 144 subcarrier values
-        with pytest.raises(ValueError, match="144"):
-            ZcConfig(target_length=150)
+        with pytest.raises(ValueError, match="base_length must be at most 144, got 149"):
+            ZcConfig(base_length=149)

@@ -63,6 +63,24 @@ class TestMSequence:
         with pytest.raises(ValueError, match="primitive"):
             LfsrSpec(taps=(5, 1, 0))
 
+    def test_exactly_the_primitive_tap_sets_pass(self):
+        """Of the 16 degree-5 tap sets with constant term, the 6 primitive ones pass from every seed."""
+        passing = {}
+        for mask in range(16):
+            taps = (5, *(t for t in (4, 3, 2, 1) if mask >> (t - 1) & 1), 0)
+            for seed_int in range(1, 32):
+                seed = tuple((seed_int >> i) & 1 for i in range(5))
+                try:
+                    LfsrSpec(taps=taps, seed=seed)
+                except ValueError:
+                    continue
+                passing[taps] = passing.get(taps, 0) + 1
+        assert passing == {
+            taps: 31
+            for taps in [(5, 2, 0), (5, 3, 0), (5, 3, 2, 1, 0), (5, 4, 2, 1, 0),
+                         (5, 4, 3, 1, 0), (5, 4, 3, 2, 0)]
+        }
+
     @pytest.mark.parametrize(
         "kwargs",
         [
