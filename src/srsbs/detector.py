@@ -6,8 +6,9 @@ a standard-deviation outlier filter, then slides the filtered sample into a
 full-message window and ranks all candidate codes by Pearson correlation.
 An identity is declared when the best correlation clears the threshold.
 
-The pipeline downstream of the validity gate is invariant to positive
-rescaling of its input: medians commute with scaling, the outlier test
+The pipeline downstream of the validity gate is invariant to rescaling by a
+power of two, bit for bit from 2**-500 to 2**510 (measured; beyond, float64
+squares underflow or overflow): medians commute with scaling, the outlier test
 compares two quantities that scale together, and Pearson is affine-invariant.
 """
 
@@ -30,6 +31,8 @@ BLOCK = 4096
 # Correlation slack the kernel's screen keeps below theta, scaled up for
 # windows whose spread is small next to the block's; see ``_correlate_block``.
 SCREEN_MARGIN = 1e-9
+# Twice 33 * 2**-24, the relative error bound of the screen's float32 product.
+SINGLE_MARGIN = 66 * 2.0**-24
 # A row of ``Detector.event_array``: the fields of ``DetectionEvent``.
 EVENT_DTYPE = np.dtype([("period_index", np.int64), ("code_id", np.int64), ("correlation", float)])
 
@@ -195,9 +198,10 @@ def _moments(windows: np.ndarray) -> np.ndarray:
     compensated float summation does not apply to arrays).
     """
     width = windows.shape[1]
-    mean = sum(windows.T) / width
-    deviation = windows.T - mean
-    return np.array((mean, np.sqrt(sum(deviation * deviation) / width)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or squares beyond 1e308
+        mean = sum(windows.T) / width
+        deviation = windows.T - mean
+        return np.array((mean, np.sqrt(sum(deviation * deviation) / width)))
 
 
 def _sd_block(d: np.ndarray, state: DetectorState, config: FilterConfig) -> np.ndarray:
@@ -276,6 +280,7 @@ class Detector:
             raise ValueError("constant code template cannot be correlated")
         # each template is constant over a chip: one value per chip suffices
         self._chip_templates = np.ascontiguousarray((centered / norms)[:, :: self.config.v])
+        self._screen_templates = self._chip_templates.astype(np.float32)
         self.state = DetectorState(correlation_window=np.zeros(self.config.window_length))
 
     def process(self, a: float) -> DetectionEvent | None:
@@ -321,14 +326,21 @@ class Detector:
 
         The screen correlates all full windows at once from chip sums of the
         block taken about its own mean (the templates are centred, so the
-        offset drops out): ``v`` shifted slices added left to right, viewed
-        as ``(n, windows)`` and reduced over axis 0, and the same for the
-        squares. With M the largest offset, norm2 a window's screened squared
-        norm and u = 2**-53, the screened best errs by less than 2 * L * (n +
-        v) * u * (1 + M**2 / norm2), within SCREEN_MARGIN for v up to about
-        360 at n = 31. So a window is skipped only when norm2 > 0 and its
-        screened best is at most ``theta - SCREEN_MARGIN * (1 + M**2 /
-        norm2)``; scaling the bound by ``sqrt(norm2)`` moves it a few ulp.
+        offset drops out) and scaled by the power of two that puts the
+        largest offset M in [0.5, 1): ``v`` shifted slices added left to
+        right, viewed as ``(n, windows)`` and reduced over axis 0, and the
+        same for the squares. With norm2 and Q a window's screened squared
+        norm and sum of squared offsets, the float64 steps err by less than
+        2 * L * (n + v) * 2**-53 * (1 + M**2 / norm2) in correlation, within
+        SCREEN_MARGIN for v up to about 360 at n = 31. The float32 product
+        errs by at most 33 * 2**-24 * sum|t c| <= 33 * 2**-24 * sqrt(Q) in
+        any order (|t| = 1/sqrt(v), |c|**2 <= v * Q), plus under 2**-144 for
+        subnormals; SINGLE_MARGIN doubles the coefficient. So a window is
+        skipped only when norm2 > 0 and its screened best is at most ``(theta
+        - SCREEN_MARGIN * (1 + M**2 / norm2)) * sqrt(norm2) - SINGLE_MARGIN *
+        (sqrt(Q) + 2**-120)``, give or take a few ulp, which needs norm2 >
+        1e-10 * M**2. Below M = 2**-480 an exact norm might underflow, so such
+        a block skips nothing, nor does one holding inf (NaN compares).
         The other windows go to ``_correlations`` in one stack, which gives
         each row the bits of a one-row call, so events, ties and correlations
         are ``detect_step``'s bit for bit. Windows of one repeated value share
@@ -346,19 +358,21 @@ class Detector:
             return np.empty(0, EVENT_DTYPE)
         # window first + w is series[first + 1 + w :][:length]; chip c sums offsets[w + v * c :][:v]
         offsets, count = series[first + 1 :] - series.mean(), y.size - first
+        mantissa, e = np.frexp(np.max(np.abs(offsets)))
+        offsets, spread = np.ldexp(offsets, -e), mantissa * mantissa  # M is now the mantissa
         size, squared = offsets.size - v + 1, offsets * offsets
         sums = sum((offsets[j : j + size] for j in range(1, v)), offsets[:size])
         squares = sum((squared[j : j + size] for j in range(1, v)), squared[:size])
         chip_sums = sliding_window_view(sums, count)[::v]
         norm2 = np.add.reduce(sliding_window_view(squares, count)[::v], axis=0)
+        slack = SINGLE_MARGIN * (np.sqrt(norm2) + 2.0**-120)
         norm2 -= np.add.reduce(chip_sums, axis=0) ** 2 / length
-        spread = np.max(np.abs(offsets)) ** 2
-        products = self._chip_templates @ np.ascontiguousarray(chip_sums)  # BLAS needs a copy
+        products = self._screen_templates @ chip_sums.astype(np.float32)  # BLAS needs a copy
         best = (np.abs(products) if self.config.polarity_agnostic else products).max(axis=0)
         del products  # freed before the stack is gathered, so the heap is reused
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (self.config.theta - SCREEN_MARGIN * (1 + spread / norm2)) * np.sqrt(norm2)
-        quiet = (norm2 > 0) & (best <= bound)
+        quiet = (norm2 > 0) & (best <= bound - slack) & (e > -480)  # M >= 2**-480
         candidates = np.flatnonzero(~quiet) + first
         changes = np.concatenate(([0], np.cumsum(series[1:] != series[:-1])))
         flat = changes[candidates + length] == changes[candidates + 1]
@@ -419,16 +433,17 @@ class Detector:
     def _correlations(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Correlations of a ``(k, L)`` window stack with every template, and each centred norm.
 
-        Centres, then squares, ``windows`` in place. A flat window (norm 0) gives
-        a NaN row. Every reduction runs along a row in an order that does not
-        depend on k (pairwise sums for the mean and the norm, ``v`` samples per
-        chip left to right, ``einsum`` without BLAS over the chips), so a row
-        has the same bits in a stack of one or thousands.
+        Centres, then squares, ``windows`` in place. A window of norm 0 (flat, or
+        its squares underflow) gives a NaN row. Every reduction runs along a row in
+        an order that does not depend on k (pairwise sums for the mean and the norm,
+        ``v`` samples per chip left to right, ``einsum`` without BLAS over the
+        chips), so a row has the same bits in a stack of one or thousands.
         """
         v = self.config.v
         windows -= (np.add.reduce(windows, axis=1) / windows.shape[1])[:, None]
         chips = sum((windows[:, j::v] for j in range(1, v)), windows[:, ::v].copy())
         windows *= windows
         norm = np.sqrt(np.add.reduce(windows, axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.einsum("kc,jc->kj", chips, self._chip_templates) / norm[:, None], norm
+        divisor = np.where(norm > 0, norm, np.nan)[:, None]
+        with np.errstate(invalid="ignore"):  # inf / inf
+            return np.einsum("kc,jc->kj", chips, self._chip_templates) / divisor, norm

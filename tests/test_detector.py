@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,10 +165,27 @@ class TestSdFilter:
             median_window=1, sd_window=1, deviation_factor=factor, sd_replacement=replacement
         )
         state = DetectorState()
-        with np.errstate(invalid="ignore"):  # inf - inf in the SD stage's window moments
-            for chunk in np.split(x, [1, 2, 9, 150]):
-                assert detector_module._median_block(chunk, state, cfg).tobytes() == chunk.tobytes()
-                assert detector_module._sd_block(chunk, state, cfg).tobytes() == chunk.tobytes()
+        for chunk in np.split(x, [1, 2, 9, 150]):
+            assert detector_module._median_block(chunk, state, cfg).tobytes() == chunk.tobytes()
+            assert detector_module._sd_block(chunk, state, cfg).tobytes() == chunk.tobytes()
+
+    @pytest.mark.parametrize("replacement", ["mean", "previous"])
+    @pytest.mark.parametrize(
+        "x",
+        [[1e200, -1e200, 1e200, 3.0], [0.3, np.inf, 0.2, -np.inf, 0.4, 0.5, 0.3]],
+        ids=["squares-overflow", "inf"],
+    )
+    def test_moments_beyond_range_are_quiet(self, x, replacement):
+        """Overflowing squares and inf - inf give an infinite or NaN SD without a warning.
+
+        The outlier test then compares false, so every sample is kept, as
+        before the moments were computed quietly.
+        """
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = detector_module._sd_block(x, DetectorState(), FilterConfig(sd_replacement=replacement))
+        assert out.tobytes() == x.tobytes()
 
     def test_first_sample_passes(self):
         # single-sample window has zero deviation

@@ -654,6 +654,71 @@ class TestBlockKernel:
         assert expected
         assert _tuples(Detector(detector_cfg, filter_cfg).process_block(trace)) == _tuples(expected)
 
+    def test_inf_without_the_gate(self, gold_set):
+        """A block holding +inf compares NaN in the screen and skips no window.
+
+        The median passes a run of three infs, which then reaches the SD
+        filter and the correlator; inf - inf warns there, per sample as per
+        block, so only that warning is silenced.
+        """
+        rng = np.random.default_rng(0)
+        bits = np.resize(encode_repetition(gold_set.code(5), 7), 651)
+        trace = 0.3 * (1.0 + 0.05 * (bits > 0)) + rng.normal(0, 0.0005, bits.size)
+        trace[[100, 300, 301, 302, 500]] = np.inf
+        detector_cfg = DetectorConfig(code_set=gold_set, theta=0.1)
+        filter_cfg = FilterConfig(enable_hard=False)
+        with np.errstate(invalid="ignore"):
+            expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+            got = Detector(detector_cfg, filter_cfg).process_block(trace)
+        assert expected
+        assert _tuples(got) == _tuples(expected)
+
+    @pytest.mark.parametrize("k", [-500, -300, -149, -130, 0, 130, 300, 500])
+    def test_events_do_not_move_under_power_of_two_scaling(self, kernel_traces, gold_set, k):
+        """Without the gate, a trace times 2**k gives the same events, byte for byte.
+
+        The screen's chip sums, cast to float32 unscaled, would flush to
+        zero from 2**-149 down, so the screen would drop windows that fire,
+        and the cast would overflow from 2**130 up.
+        """
+        trace = kernel_traces["outdoor-True"]
+        detector_cfg = DetectorConfig(code_set=gold_set)
+        filter_cfg = FilterConfig(enable_hard=False)
+        expected = Detector(detector_cfg, filter_cfg).event_array(trace)
+        assert expected.size
+        got = Detector(detector_cfg, filter_cfg).event_array(np.ldexp(trace, k))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [-530, -560])
+    def test_matches_process_where_squares_underflow(self, kernel_traces, gold_set, k):
+        """Beyond 2**-500 the events are not the unscaled ones, but per-sample and block agree.
+
+        At 2**-530 some windows' squares go subnormal and their correlations
+        grow, so the screen must leave such a block to the exact correlator;
+        at 2**-560 norms underflow to 0 and those windows fire in neither.
+        """
+        trace = np.ldexp(kernel_traces["outdoor-True"], k)
+        detector_cfg = DetectorConfig(code_set=gold_set)
+        filter_cfg = FilterConfig(enable_hard=False)
+        expected = _per_sample(trace, Detector(detector_cfg, filter_cfg))
+        assert _tuples(Detector(detector_cfg, filter_cfg).process_block(trace)) == _tuples(expected)
+
+    @pytest.mark.parametrize("scenario", ["outdoor", "indoor_long"])
+    def test_screen_passes_few_windows_that_do_not_fire(self, monkeypatch, scenario):
+        """The exact correlator gets at most 1% + 16 more rows than there are raw events."""
+        rows = []
+        correlations = Detector._correlations
+
+        def counted(detector, windows):
+            rows.append(len(windows))
+            return correlations(detector, windows)
+
+        monkeypatch.setattr(Detector, "_correlations", counted)
+        config = quick_config(scenario=scenario, tag_enabled=True, messages=60, seed=12)
+        raw = len(run_experiment(config).events)
+        assert raw > 0
+        assert sum(rows) <= 1.01 * raw + 16
+
     @pytest.mark.parametrize("factor", [0.2, 0.5, 2.0])
     def test_filters_match_the_reference_on_sd_ties(
         self, synth, outdoor_traces, gold_set, monkeypatch, factor
@@ -739,9 +804,10 @@ class TestBlockKernel:
         """Theta 1e-12 under a window's exact best correlation: only the screen's slack keeps it.
 
         The code is keyed 1e-5 deep after a step of 0.2, so the screen's chip
-        sums cancel badly and round some windows' correlations down by more
-        than 1e-12. Screening without slack finds such a window; with its
-        slack the kernel must still give that window's event.
+        sums cancel badly, and its single-precision product rounds too; both
+        move some windows' correlations down by more than 1e-12. Screening
+        without either slack finds such a window; with its slack the kernel
+        must still give that window's event.
         """
         chips = encode_repetition(gold_set.code(7), 7) > 0
         trace = np.concatenate([np.full(300, 0.5), np.where(np.tile(chips, 2), 0.3 + 1e-5, 0.3)])
@@ -753,6 +819,7 @@ class TestBlockKernel:
 
         with monkeypatch.context() as patch:
             patch.setattr(detector_module, "SCREEN_MARGIN", 0.0)
+            patch.setattr(detector_module, "SINGLE_MARGIN", 0.0)
             edge = next(
                 (ev for ev in events if ev not in Detector(under(ev), filter_cfg).process_block(trace)),
                 None,
@@ -785,10 +852,22 @@ class TestBlockKernelAtAnyChipRun:
         offset=st.sampled_from([0.0, 0.3, 1e3, 1e6]) | st.floats(0.0, 1e6),
         depth=st.floats(1e-4, 1e-2),
         cuts=st.lists(st.integers(0, 1100), max_size=5),
+        k=st.integers(-500, 500),
     )
+    @example(seed=3, offset=0.3, depth=1e-3, cuts=[400], k=-500)
+    @example(seed=4, offset=0.0, depth=1e-2, cuts=[], k=-149)
+    @example(seed=5, offset=1e6, depth=1e-4, cuts=[1, 700], k=-130)
+    @example(seed=6, offset=0.3, depth=1e-3, cuts=[], k=128)
+    @example(seed=7, offset=1e3, depth=5e-3, cuts=[217], k=500)
     @settings(max_examples=3, deadline=None)
-    def test_matches_process(self, gold_set, v, agnostic, seed, offset, depth, cuts):
-        """A code keyed ``depth`` deep, maybe inverted, on an offset up to 1e6, with noise and spikes."""
+    def test_matches_process(self, gold_set, v, agnostic, seed, offset, depth, cuts, k):
+        """A code keyed ``depth`` deep, maybe inverted, on an offset up to 1e6, with noise and spikes.
+
+        Trace and gate are scaled by the power of two that puts the level at
+        2**k, down to where float64 squares go subnormal and up to where they
+        would overflow, so the screen runs at scales whose chip sums lie
+        outside float32's range: it must still skip no window that fires.
+        """
         rng = np.random.default_rng(seed)
         length = 31 * v
         size = int(rng.integers(2 * length, 2 * length + 50))  # holds an aligned window
@@ -798,8 +877,10 @@ class TestBlockKernelAtAnyChipRun:
         trace = offset + sign * depth * level * keyed[int(rng.integers(length)) :][:size]
         trace += rng.normal(0.0, depth * level * rng.uniform(0.01, 0.5), size)
         trace[rng.random(size) < 0.01] += 10 * level  # spikes for the gate
+        scale = math.ldexp(1.0, k - math.frexp(level)[1])
+        trace *= scale
         filter_cfg = FilterConfig(
-            alpha=offset + 2 * level,
+            alpha=(offset + 2 * level) * scale,
             median_window=int(rng.integers(1, v)),
             sd_window=int(rng.integers(1, v)),
             deviation_factor=float(rng.choice([0.2, 2.0, 20.0])),
